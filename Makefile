@@ -5,7 +5,7 @@
 # note when the tools are not installed); CI installs both, so findings fail
 # the build there.
 
-.PHONY: check build vet oar-vet staticcheck test-race framecheck fuzz-smoke vuln
+.PHONY: check build vet oar-vet staticcheck test-race framecheck flake-gate fuzz-smoke vuln
 
 check: build vet staticcheck test-race
 
@@ -32,19 +32,31 @@ staticcheck:
 # The race suite runs twice: single-core (GOMAXPROCS=1 forces maximal
 # goroutine interleaving on one P — the scheduler preempts at suspension
 # points other schedules never hit) and multi-core (GOMAXPROCS=4 gives the
-# pipelined replica stages real parallelism, so ring hand-offs race for
-# real). Both matter: each schedule class finds bugs the other misses.
+# replica loops, the client loops and the transports real parallelism, so
+# counters, published positions and pooled-frame hand-offs race for real).
+# Both matter: each schedule class finds bugs the other misses.
 test-race:
 	GOMAXPROCS=1 go test -race ./...
 	GOMAXPROCS=4 go test -race ./...
 
 # framecheck rebuilds the transport with per-frame ownership tracking: a
 # double Release panics with the acquisition stack. Combined with -race this
-# catches both failure modes of the pooled-frame recycle path. core is in
-# the list for the pipelined replica loop, whose stages hand pooled frames
-# across goroutines through SPSC rings.
+# catches both failure modes of the pooled-frame recycle path. backend and
+# core are in the list for the replica and client loops, which release every
+# inbound frame they handle.
 framecheck:
-	go test -race -tags=framecheck ./internal/transport/ ./internal/memnet/ ./internal/core/
+	go test -race -tags=framecheck ./internal/transport/ ./internal/memnet/ ./internal/core/ ./internal/backend/
+
+# flake-gate repeats the tests whose verdict depends on the slowest replica
+# having caught up — the ones that used to race it — at three levels of
+# parallelism. They must pass every time.
+flake-gate:
+	@set -e; for p in 1 2 4; do \
+		echo "==> GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p go test -count=20 \
+			-run 'TestShardedEndToEnd|TestReadNeverAdoptsDoomedPrefix|TestE13QualitativeShape' \
+			./internal/cluster ./internal/core ./internal/experiments; \
+	done
 
 # fuzz-smoke runs every fuzz target for 30s on top of its seed corpus
 # (testdata/fuzz/). A new crasher is written back into testdata/fuzz/ by the

@@ -17,7 +17,7 @@
 // exits 0, a finding exits 1, a harness error exits 2.
 //
 // -inject stale-read-floor re-introduces the PR 8 read-floor bug behind its
-// test hook (core.StaleReadFloorBug) — the supported way to validate that
+// test hook (backend.StaleReadFloorBug) — the supported way to validate that
 // the search/shrink pipeline still detects a real, historical bug class:
 //
 //	oar-nemesis search -inject stale-read-floor
@@ -29,8 +29,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/nemesis"
 )
 
@@ -69,7 +69,7 @@ func runFlags(fs *flag.FlagSet) (*nemesis.Config, func() error) {
 		switch *inject {
 		case "":
 		case "stale-read-floor":
-			core.StaleReadFloorBug.Store(true)
+			backend.StaleReadFloorBug.Store(true)
 		default:
 			return fmt.Errorf("unknown -inject %q (supported: stale-read-floor)", *inject)
 		}

@@ -31,8 +31,7 @@
 // replica's state there and crash-recover from it; each replica needs its
 // own directory), -autotune (self-tune the
 // send batch window between a latency floor and a throughput ceiling),
-// -pipeline (run the replica loop as decode/order/send stages on separate
-// cores), -stats-addr (serve replica counters as JSON at /stats — what
+// -stats-addr (serve replica counters as JSON at /stats — what
 // oar-loadgen -stats reads to report server-observed coalescing).
 package main
 
@@ -65,7 +64,6 @@ func run() int {
 		walDir   = flag.String("wal-dir", "", "durable state directory (write-ahead log + snapshots); empty = in-memory only")
 		group    = flag.Int("group", 0, "ordering group (shard) this replica serves; peers and clients must match")
 		autoTune = flag.Bool("autotune", false, "self-tune the send batch window (closed-loop controller)")
-		pipeline = flag.Bool("pipeline", false, "run the replica loop as decode/order/send stages on separate cores")
 		stats    = flag.String("stats-addr", "", "serve replica counters as JSON at http://ADDR/stats (off when empty)")
 	)
 	flag.Parse()
@@ -91,7 +89,6 @@ func run() int {
 		EpochRequestLimit: *gcLimit,
 		WALDir:            *walDir,
 		AutoTune:          *autoTune,
-		Pipeline:          *pipeline,
 		StatsAddr:         *stats,
 	})
 	if err != nil && ctx.Err() == nil {

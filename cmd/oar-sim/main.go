@@ -26,7 +26,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/cnsvorder"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/memnet"
 	"repro/internal/proto"
@@ -38,7 +37,7 @@ type timeline struct {
 	start time.Time
 }
 
-var _ core.Tracer = (*timeline)(nil)
+var _ backend.Tracer = (*timeline)(nil)
 
 func newTimeline() *timeline { return &timeline{start: time.Now()} }
 
@@ -148,7 +147,7 @@ func fig2() int {
 	tl := newTimeline()
 	ck := check.New(3)
 	c, err := cluster.New(cluster.Options{
-		N: 3, FD: cluster.FDNever, Tracer: core.MultiTracer(ck, tl),
+		N: 3, FD: cluster.FDNever, Tracer: backend.MultiTracer(ck, tl),
 		Net: netDelay(),
 	})
 	if err != nil {
@@ -180,7 +179,7 @@ func fig3() int {
 	tl := newTimeline()
 	ck := check.New(3)
 	c, err := cluster.New(cluster.Options{
-		N: 3, Tracer: core.MultiTracer(ck, tl),
+		N: 3, Tracer: backend.MultiTracer(ck, tl),
 		Net:               netDelay(),
 		FDTimeout:         25 * time.Millisecond,
 		HeartbeatInterval: 5 * time.Millisecond,

@@ -92,10 +92,11 @@
 // The facade wraps the full protocol stack in internal/: the sequence
 // algebra (mseq), wire codec (wire, proto), transports (memnet, tcpnet),
 // reliable multicast (rmcast), failure detectors (fd), Maj-validity
-// consensus (consensus), conservative ordering (cnsvorder), the OAR client
-// and server (core), baselines (baseline/...), and the experiment harness
-// (experiments). Every ordering protocol plugs into the runtime through the
-// backend registry (internal/backend) and is selected by name
+// consensus (consensus), conservative ordering (cnsvorder), the replica
+// runtime and client every protocol runs on (backend), the OAR ordering and
+// adoption rules (core), the baselines' (baseline/...), and the experiment
+// harness (experiments). A protocol supplies its two rules to the runtime,
+// registers under a name (internal/backend) and is selected by it
 // (ClusterOptions.Protocol); the paper's protocol, "oar", is the default.
 // See DESIGN.md for the full inventory and EXPERIMENTS.md for the
 // reproduction results.

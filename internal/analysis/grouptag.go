@@ -12,8 +12,10 @@ import (
 // decoding the body — a message tagged with the wrong group is silently
 // lost, which presents as a liveness bug, not an error.
 //
-// In the replica packages (core, the baselines, rmcast, consensus — the
-// code that builds protocol traffic), the analyzer requires:
+// In the replica packages (the backend runtime and client — which tag
+// heartbeats, replies, reads and catch-up traffic — core, the baselines,
+// rmcast, consensus: the code that builds protocol traffic), the analyzer
+// requires:
 //
 //   - the proto.GroupID argument of every envelope constructor
 //     (proto.Marshal, AppendHeader, EncodeHeader, Marshal*/Append* and
@@ -34,6 +36,7 @@ var GroupTag = NewGroupTag(DefaultGroupTagPackages()...)
 // traffic must be group-tagged from configuration.
 func DefaultGroupTagPackages() []string {
 	return []string{
+		"repro/internal/backend",
 		"repro/internal/core",
 		"repro/internal/baseline",
 		"repro/internal/baseline/ctab",

@@ -125,7 +125,7 @@ func okTransientUse(body []byte) int {
 // proto.UnmarshalRead decodes the KindRead envelope's request; its Cmd
 // aliases the frame like any ordered request. On the client side, a read
 // reply's Result aliases the reply frame — a ReadQuorum (or any cache)
-// keeping replies across frames must Clone them (core.Client does).
+// keeping replies across frames must Clone them (the OAR write rule does).
 
 type readServer struct {
 	pending map[proto.RequestID]proto.Request

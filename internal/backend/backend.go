@@ -1,16 +1,23 @@
-// Package backend is the protocol-agnostic replica runtime contract: the
-// seam between the ordering protocols (the OAR protocol of internal/core and
-// the two baselines of internal/baseline) and everything above them (the
-// cluster runtime, the shard router, the facade, the experiment suite).
+// Package backend is the replica runtime and the client every ordering
+// protocol runs on, and the seam between the protocols (OAR in internal/core,
+// the two baselines in internal/baseline) and everything above them (the
+// cluster, the shard router, the facade, the experiment suite).
 //
-// A protocol plugs in by implementing Backend — a factory for server-side
-// Replicas and client-side Invokers — and registering it under a name.
-// Everything above this package speaks only these interfaces: the cluster
-// boots N Replicas per ordering group over any transport, hands out Invokers
-// (fanned out per group by internal/shard when the keyspace is sharded), and
-// reads the one shared Stats counter set. The built-in protocols register
-// themselves from their own packages ("oar", "fixedseq", "ctab"); tests
-// register stubs; nothing in the runtime enumerates protocols.
+// The paper defines a replication protocol by two rules: how replicas order,
+// and which reply a client adopts. Those are what a protocol supplies — a
+// Protocol for the Runtime, a WriteRule and a SubmitFunc for the Client.
+// Everything else is written once, here: the replica event loop and its
+// batched sends, the read fast path, durability and crash recovery, the
+// counters (runtime.go, recovery.go); the client's sender and reply loops and
+// its read rule (client.go, readrule.go).
+//
+// A protocol registers a Backend — a factory for Replicas and Invokers —
+// under a name. Everything above this package speaks only these interfaces:
+// the cluster boots N Replicas per ordering group over any transport, hands
+// out Invokers (fanned out per group by internal/shard when the keyspace is
+// sharded), and reads the one shared Stats counter set. The built-in
+// protocols register themselves from their own packages ("oar", "fixedseq",
+// "ctab"); tests register stubs; nothing above enumerates protocols.
 package backend
 
 import (
@@ -29,8 +36,7 @@ import (
 	"repro/internal/wal"
 )
 
-// Defaults for replica event loops, shared by every backend (core re-exports
-// them under its historical names).
+// Defaults for replica event loops, shared by every backend.
 const (
 	// DefaultTickInterval drives batching flushes, suspicion sampling,
 	// heartbeats and consensus timeouts.
@@ -39,13 +45,12 @@ const (
 	DefaultHeartbeatInterval = 5 * time.Millisecond
 )
 
-// ReplicaConfig is the protocol-independent boot configuration of one
-// replica. Backends ignore the knobs their protocol has no use for (the
-// baselines have no relay strategy or epoch limit), but every backend must
-// honor the identity, transport, machine, detector and tracer fields — they
-// are what the cluster runtime and the trace checker are built on.
+// ReplicaConfig is the boot configuration of one replica, whatever the
+// protocol: the one place a replica option is declared. Runtime.Init
+// validates it and applies the defaults; protocols ignore the knobs they
+// have no use for (the baselines have no relay strategy or epoch limit).
 type ReplicaConfig struct {
-	// ID is this replica's rank; Group is Π.
+	// ID is this replica's rank; Group is Π (must contain ID; |Π| ≤ 64).
 	ID    proto.NodeID
 	Group []proto.NodeID
 	// GroupID is the ordering group (shard) this replica serves. All outgoing
@@ -61,44 +66,60 @@ type ReplicaConfig struct {
 	Detector fd.Detector
 	// RelayMode selects the reliable-multicast relay strategy (OAR only).
 	RelayMode rmcast.Mode
-	// TickInterval and HeartbeatInterval drive the replica event loop
-	// (protocol defaults apply when zero; negative HeartbeatInterval disables
-	// heartbeats).
+	// TickInterval drives suspicion sampling, heartbeats, consensus timeouts
+	// and windowed flushes (default DefaultTickInterval). HeartbeatInterval
+	// is the gap between heartbeats to peers (default
+	// DefaultHeartbeatInterval; negative disables them, e.g. with an Oracle
+	// detector).
 	TickInterval      time.Duration
 	HeartbeatInterval time.Duration
-	// EpochRequestLimit bounds the optimistic epoch length (OAR only).
+	// EpochRequestLimit, when positive, makes the OAR sequencer R-broadcast a
+	// PhaseII after that many optimistic deliveries in one epoch — the
+	// garbage collection of the Remark in Section 5.3 (OAR only).
 	EpochRequestLimit int
-	// BatchWindow and MaxBatch tune the transport batching layer. A negative
-	// BatchWindow disables send coalescing entirely (the experiment control);
-	// MaxBatch caps requests per ordering message where the protocol batches
-	// its ordering (OAR).
+	// BatchWindow is how long the OAR sequencer may hold pending requests to
+	// grow an ordering batch. Zero (the default) is adaptive batching with
+	// no added latency: each event-loop round first drains the inbox backlog
+	// and then orders everything that arrived in one SeqOrder, so batches
+	// form exactly when there is load. A positive window additionally delays
+	// ordering until the oldest pending request is that old (or MaxBatch is
+	// reached); its precision is bounded by TickInterval. A negative window
+	// disables the batching layer entirely in every protocol — per-message
+	// sends, one message per round, one ordering round per request — which
+	// is the control in experiment E8.
 	BatchWindow time.Duration
-	MaxBatch    int
-	// AutoTune replaces the static send-side hold with a closed-loop
-	// controller (internal/tune) that continuously adjusts the effective
-	// batch window between a latency floor and a throughput ceiling.
-	// Requires the batching layer (BatchWindow >= 0).
+	// MaxBatch caps the requests per OAR SeqOrder (zero: a protocol default;
+	// 1 reproduces one SeqOrder per request).
+	MaxBatch int
+	// AutoTune replaces the static send-side coalescing with a closed-loop
+	// controller (internal/tune): the outbound batcher holds envelopes up to
+	// a continuously adjusted window — zero when idle, up to the
+	// controller's ceiling when frames ship under-filled. Ordering-side
+	// BatchWindow semantics are unchanged (AutoTune adds exactly one hold
+	// point, at the transport). Requires the batching layer
+	// (BatchWindow >= 0).
 	AutoTune bool
-	// Pipeline runs the replica event loop as decode → order → send stages
-	// on separate goroutines connected by SPSC rings (protocols that have
-	// no staged loop ignore it). PipelineDepth sets the per-ring capacity
-	// (protocol default when zero).
-	Pipeline      bool
-	PipelineDepth int
-	// WALDir enables the write-ahead log: definitive deliveries and epoch
-	// markers are persisted there and replayed on the next boot. Empty
-	// disables durability (the replica still serves peer catch-up from its
-	// in-memory history). WALSync selects the fsync policy.
+	// WALDir enables the write-ahead log of a protocol that journals (OAR):
+	// definitive deliveries and epoch markers are persisted there and
+	// replayed on the next boot. Empty disables durability (the replica
+	// still serves peer catch-up from its in-memory history). WALSync
+	// selects the fsync policy: SyncAlways syncs once per closed epoch,
+	// before the conservative replies ship, so every fully-acked command is
+	// on disk; SyncNever leaves flushing to the OS (crash-recovery then
+	// leans on peer catch-up for the tail).
 	WALDir  string
 	WALSync wal.SyncPolicy
 	// SnapshotEvery takes a state snapshot every that many closed epochs
-	// (0 = protocol default, negative = never). Snapshots bound both the WAL
-	// on disk and the in-memory catch-up tail, and require the Machine to
-	// implement app.Durable.
+	// (0 = DefaultSnapshotEvery, negative = never). Snapshots are taken at
+	// protocol boundaries — nothing optimistic is applied there, so the
+	// image is a pure definitive prefix — and bound both the WAL on disk and
+	// the in-memory catch-up tail. They require the Machine to implement
+	// app.Durable.
 	SnapshotEvery int
-	// Recovering marks a replica booting after a crash: it must replay its
-	// local snapshot+WAL, catch up from peers, and refuse reads until caught
-	// up, instead of joining the protocol at epoch 0.
+	// Recovering marks a replica booting after a crash: after replaying its
+	// local snapshot+WAL it defers protocol traffic, refuses fast-path reads
+	// and probes its peers until it has adopted a peer's boundary state,
+	// instead of joining the protocol at epoch 0.
 	Recovering bool
 	// Incarnation counts this replica's boots (0 for the first). Restarted
 	// replicas need it to claim a fresh reliable-multicast sequence range:
@@ -129,13 +150,17 @@ type InvokerConfig struct {
 }
 
 // Replica is one running replica of an ordering protocol: an event loop the
-// cluster runtime owns a goroutine for, plus the shared counter surface.
+// cluster owns a goroutine for, plus the shared observation surface. A
+// protocol that embeds Runtime is one.
 type Replica interface {
 	// Run executes the replica event loop until ctx ends or the transport
 	// closes (crash injection).
 	Run(ctx context.Context) error
 	// Stats returns a snapshot of the replica's protocol counters.
 	Stats() Stats
+	// Position returns where the replica stood at the end of its last
+	// event-loop round. Safe to call concurrently with Run.
+	Position() Position
 }
 
 // Invoker is the client surface of every protocol (and of the sharded
@@ -168,16 +193,15 @@ type Backend interface {
 	NewInvoker(cfg InvokerConfig) (Invoker, error)
 }
 
-// Stats is the protocol-agnostic replica counter set. Every backend fills
-// the counters its protocol has; the rest stay zero. Delivered is the one
-// every protocol must maintain: the number of definitively delivered
-// commands (for OAR, optimistic deliveries that were not rolled back, plus
-// conservative deliveries).
+// Stats is the replica counter set of every protocol, produced by
+// Runtime.Stats; counters a protocol has no use for stay zero.
 type Stats struct {
-	// Delivered counts definitive command deliveries (rollbacks deducted).
+	// Delivered counts standing command deliveries: optimistic plus
+	// irrevocable deliveries, rollbacks deducted.
 	Delivered uint64
 	// OptDelivered / OptUndelivered / ADelivered / Epochs are the OAR phase
-	// counters (Figure 6 lines 17, 26, 28; completed phase-2 rounds).
+	// counters (Figure 6 lines 17, 26, 28; completed phase-2 rounds). The
+	// baselines' deliveries are all irrevocable: they count as ADelivered.
 	OptDelivered   uint64
 	OptUndelivered uint64
 	ADelivered     uint64
@@ -193,6 +217,12 @@ type Stats struct {
 	// well-formed read).
 	ReadsServed   uint64
 	ReadFallbacks uint64
+	// ReadReissues counts fast-path reads a client gave up on — every replica
+	// had answered and no majority endorsed one prefix, or the fallback timer
+	// fired — and re-issued as an ordered request under a fresh id. Counted by
+	// the clients and attached at aggregation time like Latency: each costs
+	// one ordering round that no replica can tell from a write.
+	ReadReissues uint64
 	// Views counts fixedseq sequencer fail-overs.
 	Views uint64
 	// Recoveries counts completed crash-recoveries (local replay + peer
@@ -240,6 +270,7 @@ func (s *Stats) Accumulate(other Stats) {
 	s.ForeignDropped += other.ForeignDropped
 	s.ReadsServed += other.ReadsServed
 	s.ReadFallbacks += other.ReadFallbacks
+	s.ReadReissues += other.ReadReissues
 	s.Views += other.Views
 	s.Recoveries += other.Recoveries
 	s.CatchupServed += other.CatchupServed

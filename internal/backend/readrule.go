@@ -23,8 +23,8 @@ import (
 // The accumulator is not safe for concurrent use; callers hold their client
 // lock across Offer (matching the write path's reply handling).
 type ReadQuorum struct {
-	n       int
-	byEpoch map[uint64]*readEpoch
+	n    int
+	seen Replies
 
 	// Answered unions the weight of every reply seen — including replies the
 	// caller filtered out of adoption (stale prefixes) and fed through
@@ -33,15 +33,38 @@ type ReadQuorum struct {
 	Answered proto.Weight
 }
 
-type readEpoch struct {
+// Replies accumulates the replies to one outstanding request by epoch — the
+// "for some k" of Figure 5 line 3: weights only add up within one epoch —
+// for the adoption rules that need more than one reply. The zero value is
+// empty.
+type Replies struct {
+	byEpoch map[uint64]*epochReplies
+}
+
+type epochReplies struct {
 	replies []proto.Reply
 	union   proto.Weight
 }
 
-// NewReadQuorum creates an accumulator for one read against a group of n.
-func NewReadQuorum(n int) *ReadQuorum {
-	return &ReadQuorum{n: n, byEpoch: make(map[uint64]*readEpoch)}
+// Add records reply under its epoch and returns that epoch's replies so far
+// (aliasing the accumulator) and their union weight. The reply is retained:
+// pass an owned one (Clone when it aliases an inbound frame).
+func (rs *Replies) Add(reply proto.Reply) ([]proto.Reply, proto.Weight) {
+	acc, ok := rs.byEpoch[reply.Epoch]
+	if !ok {
+		if rs.byEpoch == nil {
+			rs.byEpoch = make(map[uint64]*epochReplies)
+		}
+		acc = &epochReplies{}
+		rs.byEpoch[reply.Epoch] = acc
+	}
+	acc.replies = append(acc.replies, reply)
+	acc.union = acc.union.Union(reply.Weight)
+	return acc.replies, acc.union
 }
+
+// NewReadQuorum creates an accumulator for one read against a group of n.
+func NewReadQuorum(n int) *ReadQuorum { return &ReadQuorum{n: n} }
 
 // Answer counts a reply toward the answered weight without entering it into
 // the adoption rule — for replies the caller must discard (e.g. below its
@@ -67,14 +90,8 @@ func (q *ReadQuorum) AllAnswered() bool { return q.Answered == proto.FullWeight(
 // observed.
 func (q *ReadQuorum) Offer(reply proto.Reply, floor uint64) (proto.Reply, bool) {
 	q.Answer(reply)
-	acc, ok := q.byEpoch[reply.Epoch]
-	if !ok {
-		acc = &readEpoch{}
-		q.byEpoch[reply.Epoch] = acc
-	}
-	acc.replies = append(acc.replies, reply)
-	acc.union = acc.union.Union(reply.Weight)
-	if !acc.union.IsMajority(q.n) {
+	replies, union := q.seen.Add(reply)
+	if !union.IsMajority(q.n) {
 		return proto.Reply{}, false
 	}
 	// Scan positions from freshest to oldest, accumulating the union weight
@@ -82,14 +99,14 @@ func (q *ReadQuorum) Offer(reply proto.Reply, floor uint64) (proto.Reply, bool) 
 	// the union reaches a majority is the largest adoptable candidate. A
 	// reply below the floor cannot head an adoptable candidate (and replies
 	// never endorse positions above their own), so the scan stops there.
-	sort.Slice(acc.replies, func(i, j int) bool { return acc.replies[i].Pos > acc.replies[j].Pos })
+	sort.Slice(replies, func(i, j int) bool { return replies[i].Pos > replies[j].Pos })
 	var endorse proto.Weight
-	for i, r := range acc.replies {
+	for i, r := range replies {
 		if r.Pos < floor {
 			break
 		}
 		endorse = endorse.Union(r.Weight)
-		if i+1 < len(acc.replies) && acc.replies[i+1].Pos == r.Pos {
+		if i+1 < len(replies) && replies[i+1].Pos == r.Pos {
 			continue // fold in every reply at this position first
 		}
 		if endorse.IsMajority(q.n) {

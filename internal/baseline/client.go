@@ -1,383 +1,45 @@
-// Package baseline provides the classic active-replication client used by
-// both baseline protocols (the Isis-style fixed-sequencer Atomic Broadcast
-// of Section 2.4 and the conservative consensus-based Atomic Broadcast):
-// the client sends its request to all replicas and adopts the FIRST reply
-// (Section 2.1: "The client waits only for the first reply").
+// Package baseline holds what the two baseline protocols share (the
+// Isis-style fixed-sequencer Atomic Broadcast of Section 2.4 and the
+// conservative consensus-based Atomic Broadcast): above all the classic
+// active-replication client rule. The client sends its request to all
+// replicas and adopts the FIRST reply (Section 2.1: "The client waits only
+// for the first reply").
 //
 // This first-reply rule is precisely what makes the fixed-sequencer protocol
 // externally inconsistent in the Figure 1(b) scenario — and what the OAR
-// weight-quorum client (Figure 5) fixes.
-//
-// The client rides the same transport-batching layer as the OAR client:
-// concurrent Invokes are coalesced per server into proto.Batch frames by a
-// sender loop, replies arrive batched and are dispatched per frame, and all
-// traffic is tagged with the client's ordering group — so the baselines are
-// measured under the transport the optimistic hot path actually uses.
+// weight-quorum rule (Figure 5) fixes. Everything else the client does is
+// internal/backend's shared client, so the baselines are measured under the
+// transport the optimistic hot path actually uses.
 package baseline
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/backend"
 	"repro/internal/proto"
-	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
-// ClientConfig configures a first-reply client.
-type ClientConfig struct {
-	// ID is the client's node ID (proto.ClientID(i)).
-	ID proto.NodeID
-	// Group is the server group Π.
-	Group []proto.NodeID
-	// GroupID is the ordering group this client talks to. Requests carry it
-	// in their identity, outgoing frames are tagged with it, and replies
-	// tagged with a different group are dropped. Zero is the single-group
-	// system.
-	GroupID proto.GroupID
-	// Node is the client's transport endpoint.
-	Node transport.Node
-	// Tracer records Issue/Adopt events (nil disables tracing).
-	Tracer backend.Tracer
-	// Unbatched disables the send-coalescing sender loop: each request copy
-	// goes out as its own frame from the invoking goroutine.
-	Unbatched bool
-	// AutoTune gives the sender loop a closed-loop hold-window controller
-	// (internal/tune): under load outbound frames are held up to the tuned
-	// window to coalesce more request copies per frame; at idle the window
-	// collapses to zero. Ignored when Unbatched.
-	AutoTune bool
-}
+// SnapshotDeliveries is how often a baseline replica's catch-up tail is
+// compacted into a machine snapshot (backend.Spec.SnapshotDeliveries).
+// Neither baseline ever rolls a delivery back, so every delivery boundary is
+// a valid snapshot point — far too many to count.
+const SnapshotDeliveries = 256
 
-// Client is a classic active-replication client: multicast to all, adopt the
-// first reply. Safe for concurrent Invokes.
-type Client struct {
-	cfg    ClientConfig
-	tracer backend.Tracer
-
-	mu      sync.Mutex
-	nextSeq uint64
-	pending map[proto.RequestID]chan proto.Reply
-	// reads tracks outstanding fast-path reads, which — unlike first-reply
-	// writes — accumulate replies under the shared majority-validated
-	// adoption rule. highWater is the largest position this client adopted
-	// at; fast-path read replies from shorter prefixes are discarded, making
-	// reads monotonic and read-your-writes.
-	reads     map[proto.RequestID]*readCall
-	highWater uint64
-
-	// sendCh feeds the coalescing sender loop (nil when cfg.Unbatched).
-	sendCh chan sendJob
-
-	done       chan struct{}
-	senderDone chan struct{} // closed immediately when unbatched
-	stop       context.CancelFunc
-	stopOnce   sync.Once
-	stopped    chan struct{} // closed by Stop; unblocks enqueues
-}
-
-// sendJob is one frame bound for one server.
-type sendJob struct {
-	to      proto.NodeID
-	payload []byte
-}
-
-// readCall is one outstanding fast-path read.
-type readCall struct {
-	rq      *backend.ReadQuorum
-	result  chan proto.Reply // buffered(1)
-	adopted bool
-	giveUp  chan struct{} // closed once every replica answered without adoption
-	gaveUp  bool
-}
-
-// NewClient validates cfg and creates a client.
-func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Node == nil || len(cfg.Group) == 0 {
-		return nil, fmt.Errorf("baseline: Node and Group are required")
-	}
-	if !cfg.ID.IsClient() {
-		return nil, fmt.Errorf("baseline: %v is not a client ID", cfg.ID)
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = backend.NopTracer()
-	}
-	c := &Client{
-		cfg:        cfg,
-		tracer:     cfg.Tracer,
-		pending:    make(map[proto.RequestID]chan proto.Reply),
-		reads:      make(map[proto.RequestID]*readCall),
-		done:       make(chan struct{}),
-		senderDone: make(chan struct{}),
-		stopped:    make(chan struct{}),
-	}
-	if !cfg.Unbatched {
-		c.sendCh = make(chan sendJob, 256)
-	}
-	return c, nil
-}
-
-// Start launches the reply-dispatch loop (and the batching sender loop).
-func (c *Client) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.stop = cancel
-	go c.loop(ctx)
-	if c.sendCh != nil {
-		go c.sendLoop(ctx)
-	} else {
-		close(c.senderDone)
-	}
-}
-
-// Stop terminates the dispatch and sender loops and waits for them to exit.
-func (c *Client) Stop() {
-	if c.stop != nil {
-		c.stop()
-	}
-	c.stopOnce.Do(func() { close(c.stopped) })
-	<-c.done
-	<-c.senderDone
-}
-
-// enqueue hands one outbound frame to the sender loop. After Stop the frame
-// is dropped — outstanding Invokes are failing with their contexts anyway.
-func (c *Client) enqueue(to proto.NodeID, payload []byte) {
-	select {
-	case c.sendCh <- sendJob{to: to, payload: payload}:
-	case <-c.stopped:
-	}
-}
-
-// flushSpins and maxDrain parameterize transport.DrainLinger exactly as in
-// the OAR client's sender loop: linger a couple of scheduler yields over an
-// empty queue so concurrent Invokes land in the same round, but never let a
-// flooded queue starve the flush.
-const (
-	flushSpins = 2
-	maxDrain   = 1024
-)
-
-// sendLoop drains queued frames and flushes them per destination, coalescing
-// the sends of concurrent Invokes into one frame per server per round. With
-// AutoTune the batcher may additionally hold frames across rounds; the drain
-// timer bounds any hold at about a tick when no further Invokes arrive.
-func (c *Client) sendLoop(ctx context.Context) {
-	defer close(c.senderDone)
-	var opts transport.BatcherOptions
-	if c.cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-	}
-	out := transport.NewBatcherWith(c.cfg.Node, c.cfg.GroupID, opts)
-	defer out.Close()
-	drain := time.NewTimer(time.Hour)
-	if !drain.Stop() {
-		<-drain.C
-	}
-	armed := false
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case job := <-c.sendCh:
-			out.Add(job.to, job.payload)
-			transport.DrainLinger(c.sendCh, flushSpins, maxDrain-1, func(j sendJob) {
-				out.Add(j.to, j.payload)
-			})
-			out.Flush()
-		case <-drain.C:
-			armed = false
-			out.Flush()
-		}
-		if !armed && out.Pending() > 0 {
-			drain.Reset(backend.DefaultTickInterval)
-			armed = true
-		}
-	}
-}
-
-func (c *Client) loop(ctx context.Context) {
-	defer close(c.done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m, ok := <-c.cfg.Node.Recv():
-			if !ok {
-				return
+// NewInvoker creates a started first-reply client.
+func NewInvoker(cfg backend.InvokerConfig) (backend.Invoker, error) {
+	return backend.NewClient(cfg, firstReply, func(send backend.SendFunc) backend.SubmitFunc {
+		return func(id proto.RequestID, cmd []byte) {
+			// One owned frame shared across every destination: sent payloads
+			// are immutable.
+			payload := proto.MarshalRequest(proto.Request{ID: id, Cmd: cmd})
+			for _, p := range cfg.Group {
+				send(p, payload)
 			}
-			// Servers coalesce the replies of one delivery round into a
-			// proto.Batch frame; expand it (a non-batch message passes
-			// through unchanged) and dispatch every inner reply. The decoded
-			// results alias the frame; onReply clones what it hands to the
-			// invoking goroutine, so the frame's pooled buffer is recycled
-			// as soon as dispatch returns.
-			msgs, _ := transport.ExpandBatch(m)
-			for _, inner := range msgs {
-				kind, group, body, err := proto.Unmarshal(inner.Payload)
-				if err != nil || kind != proto.KindReply || group != c.cfg.GroupID {
-					continue
-				}
-				reply, err := proto.UnmarshalReply(body)
-				if err != nil {
-					continue
-				}
-				c.onReply(reply)
-			}
-			m.Release()
 		}
-	}
+	})
 }
 
-func (c *Client) onReply(reply proto.Reply) {
-	c.mu.Lock()
-	if rc, isRead := c.reads[reply.Req]; isRead {
-		c.onReadReplyLocked(rc, reply)
-		c.mu.Unlock()
-		return
-	}
-	ch, ok := c.pending[reply.Req]
-	if ok {
-		delete(c.pending, reply.Req) // first reply wins; the rest are dropped
-		if reply.Pos > c.highWater {
-			c.highWater = reply.Pos
-		}
-	}
-	c.mu.Unlock()
-	if ok {
-		// The adopted reply outlives the inbound frame it was decoded from:
-		// clone its result before handing it over (copy-on-retain).
-		reply = reply.Clone()
-		ch <- reply
-		c.tracer.Adopt(c.cfg.ID, reply.Req, reply)
-	}
-}
-
-// onReadReplyLocked feeds a fast-path read reply through the shared
-// majority-validated adoption rule (backend.ReadQuorum): unlike the
-// first-reply write rule, a read is only adopted once a majority of the
-// group has answered at a compatible prefix. Stale-prefix replies (below
-// the client's high-water mark) are discarded but still counted, so an
-// unadoptable read falls back instead of hanging. Caller holds c.mu.
-func (c *Client) onReadReplyLocked(rc *readCall, reply proto.Reply) {
-	defer func() {
-		if !rc.adopted && !rc.gaveUp && rc.rq.AllAnswered() {
-			rc.gaveUp = true
-			close(rc.giveUp)
-		}
-	}()
-	if rc.adopted {
-		return
-	}
-	if reply.Pos < c.highWater {
-		rc.rq.Answer(reply)
-		return // stale prefix: predates this client's last adopted operation
-	}
-	best, ok := rc.rq.Offer(reply.Clone(), c.highWater)
-	if !ok {
-		return
-	}
-	rc.adopted = true
-	rc.result <- best
-	delete(c.reads, reply.Req)
-	if best.Pos > c.highWater {
-		c.highWater = best.Pos
-	}
-	c.tracer.ReadAdopt(c.cfg.ID, reply.Req, best)
-}
-
-// Invoke sends cmd to all replicas and returns the first reply.
-func (c *Client) Invoke(ctx context.Context, cmd []byte) (proto.Reply, error) {
-	c.mu.Lock()
-	id := proto.RequestID{Group: c.cfg.GroupID, Client: c.cfg.ID, Seq: c.nextSeq}
-	c.nextSeq++
-	ch := make(chan proto.Reply, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	c.tracer.Issue(c.cfg.ID, id, cmd)
-	payload := proto.MarshalRequest(proto.Request{ID: id, Cmd: cmd})
-	for _, p := range c.cfg.Group {
-		if c.sendCh != nil {
-			c.enqueue(p, payload)
-		} else {
-			_ = c.cfg.Node.Send(p, payload)
-		}
-	}
-
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return proto.Reply{}, fmt.Errorf("baseline: invoke %v: %w", id, ctx.Err())
-	}
-}
-
-// readFallbackTimeout bounds how long a fast-path read waits for an
-// adoptable majority before re-issuing on the ordered path; the
-// all-answered-without-adoption case falls back immediately.
-const readFallbackTimeout = 64 * backend.DefaultTickInterval
-
-// InvokeRead performs a read-only request on the fast path: the command goes
-// directly to every replica as a KindRead frame, bypassing the protocol's
-// ordering machinery, and each replica that can answers inline from its
-// current prefix. The reply is adopted under the shared majority-validated
-// rule — stricter than the baselines' first-reply write rule, because a
-// single replica's unordered snapshot carries no ordering evidence at all.
-// Reads that cannot be adopted fall back to a fresh ordered Invoke (safe:
-// the fast-path attempt had no effect on any replica).
-func (c *Client) InvokeRead(ctx context.Context, cmd []byte) (proto.Reply, error) {
-	c.mu.Lock()
-	id := proto.RequestID{Group: c.cfg.GroupID, Client: c.cfg.ID, Seq: c.nextSeq}
-	c.nextSeq++
-	rc := &readCall{
-		rq:     backend.NewReadQuorum(len(c.cfg.Group)),
-		result: make(chan proto.Reply, 1),
-		giveUp: make(chan struct{}),
-	}
-	c.reads[id] = rc
-	c.mu.Unlock()
-
-	// One owned frame shared across every destination: sent payloads are
-	// immutable, and the batching sender copies on Add anyway.
-	frame := proto.MarshalRead(proto.Request{ID: id, Cmd: cmd, ReadOnly: true})
-	for _, p := range c.cfg.Group {
-		if c.sendCh != nil {
-			c.enqueue(p, frame)
-		} else {
-			_ = c.cfg.Node.Send(p, frame)
-		}
-	}
-
-	timer := time.NewTimer(readFallbackTimeout)
-	defer timer.Stop()
-	select {
-	case reply := <-rc.result:
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.reads, id)
-		c.mu.Unlock()
-		return proto.Reply{}, fmt.Errorf("baseline: read %v: %w", id, ctx.Err())
-	case <-rc.giveUp:
-	case <-timer.C:
-	}
-
-	// Fall back to the ordered path. Retire the fast-path attempt first; an
-	// adoption that slipped in before the lock sits in the buffered result
-	// channel.
-	c.mu.Lock()
-	delete(c.reads, id)
-	c.mu.Unlock()
-	select {
-	case reply := <-rc.result:
-		return reply, nil
-	default:
-	}
-	return c.Invoke(ctx, cmd)
+// firstReply adopts whatever arrives first; the rest are dropped. The
+// adopted reply outlives the inbound frame it was decoded from, so it is
+// cloned.
+func firstReply(_ *backend.Replies, reply proto.Reply) (proto.Reply, bool) {
+	return reply.Clone(), true
 }

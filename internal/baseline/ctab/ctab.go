@@ -8,346 +8,128 @@
 // pays consensus latency (several message delays) instead of the OAR
 // optimistic phase's single sequencer hop. Experiment E2 measures the gap.
 //
-// The replica is group-scoped and rides the shared transport-batching layer
-// (transport.Batcher): all outgoing traffic — consensus rounds, replies,
-// heartbeats — is tagged with the ordering group and coalesced per
-// event-loop round into proto.Batch frames, exactly like the OAR hot path.
-// The package registers itself as the "ctab" backend.
+// The package holds only that ordering rule. The replica runs on the shared
+// runtime of internal/backend — the same event loop, send batching, read
+// fast path and crash recovery as OAR. It registers itself as the "ctab"
+// backend.
 package ctab
 
 import (
-	"context"
 	"fmt"
-
-	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/backend"
+	"repro/internal/baseline"
 	"repro/internal/consensus"
-
-	"repro/internal/fd"
 	"repro/internal/mseq"
 	"repro/internal/proto"
-	"repro/internal/transport"
-	"repro/internal/tune"
 	"repro/internal/wire"
 )
 
-// Config configures one replica.
-type Config struct {
-	// ID is this replica's rank; Group is Π.
-	ID    proto.NodeID
-	Group []proto.NodeID
-	// GroupID is the ordering group (shard) this replica serves. Outgoing
-	// traffic is tagged with it; inbound traffic tagged with a foreign group
-	// is dropped before the body is decoded.
-	GroupID proto.GroupID
-	// Node is the transport endpoint.
-	Node transport.Node
-	// Machine is the deterministic state machine.
-	Machine app.Machine
-	// Detector drives consensus coordinator suspicion.
-	Detector fd.Detector
-	// TickInterval and HeartbeatInterval as in core (same defaults).
-	TickInterval      time.Duration
-	HeartbeatInterval time.Duration
-	// BatchWindow controls the transport-batching layer exactly as in
-	// core.ServerConfig: >= 0 (the default) coalesces each round's sends per
-	// destination into proto.Batch frames; negative disables the layer (the
-	// experiment control).
-	BatchWindow time.Duration
-	// AutoTune gives the send batcher a closed-loop hold-window controller
-	// (internal/tune), exactly as in core.ServerConfig. Requires the
-	// batching layer (BatchWindow >= 0).
-	AutoTune bool
-	// Tracer records deliveries as ADeliver events.
-	Tracer backend.Tracer
-	// Recovering boots the replica into catch-up mode: it defers consensus
-	// traffic and refuses reads until it has adopted a peer's state (see
-	// recovery.go). Set by cluster.Restart.
-	Recovering bool
+// BackendName is the registry name of the conservative baseline.
+const BackendName = "ctab"
+
+func init() { backend.Register(ctBackend{}) }
+
+type ctBackend struct{}
+
+func (ctBackend) Name() string { return BackendName }
+
+func (ctBackend) NewReplica(cfg backend.ReplicaConfig) (backend.Replica, error) {
+	return NewServer(cfg)
 }
 
-// Stats are protocol counters.
-type Stats struct {
-	Delivered      uint64
-	Batches        uint64 // completed consensus instances
-	ForeignDropped uint64 // inbound messages dropped for a foreign GroupID
-	ReadsServed    uint64 // reads answered inline (zero consensus instances)
-	ReadFallbacks  uint64 // reads pushed onto the ordered path
-
-	// Recovery observability (see core.ServerStats).
-	Recoveries           uint64 // completed restart recoveries
-	CatchupServed        uint64 // catch-up responses served with state
-	RecoveryRefusedReads uint64 // reads refused while catching up
-
-	// Send-batcher observability (see core.ServerStats).
-	BatchFrames uint64
-	BatchedMsgs uint64
-	BatchWindow time.Duration
+// NewInvoker returns the classic first-reply client — sound here, because
+// every delivery is consensus-ordered before any replica replies.
+func (ctBackend) NewInvoker(cfg backend.InvokerConfig) (backend.Invoker, error) {
+	return baseline.NewInvoker(cfg)
 }
 
-// Server is one conservative-atomic-broadcast replica.
+// Server is one conservative-atomic-broadcast replica. Epoch (in the
+// embedded Runtime) is the current consensus instance.
 type Server struct {
-	cfg Config
-	n   int
+	backend.Runtime
+	n int
 
-	buffered  mseq.Seq[proto.RequestID]
-	payloads  map[proto.RequestID]proto.Request
-	delivered map[proto.RequestID]struct{}
-	pos       uint64
+	buffered mseq.Seq[proto.RequestID]
+	payloads map[proto.RequestID]proto.Request
 
-	next      uint64 // current consensus instance
-	running   bool
+	running   bool // the current instance has been started here
 	instances map[uint64]*consensus.Instance
 	decisions map[uint64]consensus.Decision
-
-	out     *transport.Batcher // per-round send coalescing
-	encBuf  []byte             // reusable encode scratch (replies) on the batching path
-	hbFrame []byte             // heartbeat payload, constant per group
-
-	lastHeartbeat time.Time
-	tracer        backend.Tracer
-
-	// Recovery state (see recovery.go). ds is the in-memory catch-up base
-	// every replica maintains so it can serve a restarted peer.
-	ds          backend.DurableState
-	durable     app.Durable // machine's durable surface; nil without one
-	recovering  bool
-	catchupTick int
-	recoveryBuf []deferredFrame
-
-	statDelivered   atomic.Uint64
-	statBatches     atomic.Uint64
-	statForeign     atomic.Uint64
-	statReads       atomic.Uint64
-	statReadFalls   atomic.Uint64
-	statRecoveries  atomic.Uint64
-	statCatchup     atomic.Uint64
-	statReadRefused atomic.Uint64
-
-	// reader is the machine's optional read-only surface; with it, KindRead
-	// requests are answered inline without a consensus instance.
-	reader app.Reader
 }
 
-// NewServer validates cfg and creates a replica.
-func NewServer(cfg Config) (*Server, error) {
-	if len(cfg.Group) == 0 || len(cfg.Group) > proto.MaxGroupSize {
-		return nil, fmt.Errorf("ctab: bad group size %d", len(cfg.Group))
-	}
-	if cfg.Node == nil || cfg.Machine == nil || cfg.Detector == nil {
-		return nil, fmt.Errorf("ctab: Node, Machine and Detector are required")
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = backend.DefaultTickInterval
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = backend.DefaultHeartbeatInterval
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = backend.NopTracer()
-	}
-	if cfg.AutoTune && cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("ctab: AutoTune requires the batching layer (BatchWindow >= 0)")
-	}
-	var opts transport.BatcherOptions
-	if cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-	}
+var _ backend.Protocol = (*Server)(nil)
+
+// NewServer validates cfg and creates a replica. The baseline keeps no WAL:
+// restart recovery is the in-memory peer catch-up alone.
+func NewServer(cfg backend.ReplicaConfig) (*Server, error) {
 	s := &Server{
-		cfg:       cfg,
 		n:         len(cfg.Group),
 		payloads:  make(map[proto.RequestID]proto.Request),
-		delivered: make(map[proto.RequestID]struct{}),
 		instances: make(map[uint64]*consensus.Instance),
 		decisions: make(map[uint64]consensus.Decision),
-		out:       transport.NewBatcherWith(cfg.Node, cfg.GroupID, opts),
-		encBuf:    make([]byte, 0, 256),
-		hbFrame:   proto.MarshalHeartbeat(cfg.GroupID),
-		tracer:    cfg.Tracer,
 	}
-	if r, ok := cfg.Machine.(app.Reader); ok {
-		s.reader = r
+	// A recovering replica defers consensus traffic and drops raw requests —
+	// they re-arrive inside decided batches (decisions carry full payloads).
+	// Positions are consensus-agreed, identical at every replica whatever
+	// the instance, so reads are tagged with one constant epoch (FlatReads)
+	// and the majority rule buys freshness: a lagging replica alone cannot
+	// serve a stale read.
+	err := s.Init(cfg, s, backend.Spec{
+		SnapshotDeliveries: baseline.SnapshotDeliveries,
+		Defer:              []proto.Kind{proto.KindEstimate, proto.KindPropose, proto.KindAck, proto.KindDecide},
+		FlatReads:          true,
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.initRecovery()
 	return s, nil
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Server) Stats() Stats {
-	bs := s.out.Stats()
-	return Stats{
-		Delivered:            s.statDelivered.Load(),
-		Batches:              s.statBatches.Load(),
-		ForeignDropped:       s.statForeign.Load(),
-		ReadsServed:          s.statReads.Load(),
-		ReadFallbacks:        s.statReadFalls.Load(),
-		Recoveries:           s.statRecoveries.Load(),
-		CatchupServed:        s.statCatchup.Load(),
-		RecoveryRefusedReads: s.statReadRefused.Load(),
-		BatchFrames:          bs.Frames,
-		BatchedMsgs:          bs.Msgs,
-		BatchWindow:          bs.Window,
-	}
-}
-
-// batching reports whether the send-coalescing layer is enabled.
-func (s *Server) batching() bool { return s.cfg.BatchWindow >= 0 }
-
-// send ships one kind-tagged payload, through the round batcher when
-// batching is on.
-func (s *Server) send(to proto.NodeID, payload []byte) {
-	if !s.batching() {
-		_ = s.cfg.Node.Send(to, payload)
-		return
-	}
-	s.out.Add(to, payload)
-}
-
-// flushSpins and maxDrain parameterize transport.DrainLinger exactly as in
-// core.Server.Run.
-const (
-	flushSpins = 2
-	maxDrain   = 1024
-)
-
-// Run executes the replica loop until ctx ends or the transport closes.
-func (s *Server) Run(ctx context.Context) error {
-	ticker := time.NewTicker(s.cfg.TickInterval)
-	defer ticker.Stop()
-	// Ship anything a held (AutoTune) window still buffers on exit.
-	defer s.out.Close()
-	inbox := s.cfg.Node.Recv()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case m, ok := <-inbox:
-			if !ok {
-				return nil
-			}
-			now := time.Now()
-			handle := func(m transport.Message) {
-				// Senders coalesce rounds into proto.Batch frames; expand
-				// (a non-batch message passes through unchanged). The
-				// handlers clone whatever they retain, so the frame's
-				// pooled buffer is recycled as soon as handling returns.
-				msgs, _ := transport.ExpandBatch(m)
-				for _, inner := range msgs {
-					s.handleMessage(inner, now)
-				}
-				m.Release()
-			}
-			handle(m)
-			spins := 0
-			if s.batching() {
-				spins = flushSpins
-			}
-			if _, open := transport.DrainLinger(inbox, spins, maxDrain-1, handle); !open {
-				return nil
-			}
-			s.out.Flush()
-		case now := <-ticker.C:
-			s.tick(now)
-			s.out.Flush()
-		}
-	}
-}
-
-func (s *Server) handleMessage(m transport.Message, now time.Time) {
-	kind, group, body, err := proto.Unmarshal(m.Payload)
-	if err != nil {
-		return
-	}
-	if group != s.cfg.GroupID {
-		s.statForeign.Add(1)
-		return
-	}
-	if s.recovering {
-		s.handleRecovering(m.From, kind, body, now)
-		return
-	}
+// Handle implements backend.Protocol.
+func (s *Server) Handle(from proto.NodeID, kind proto.Kind, body []byte) {
 	switch kind {
-	case proto.KindHeartbeat:
-		s.cfg.Detector.Observe(m.From, now)
 	case proto.KindRequest:
 		req, err := proto.UnmarshalRequest(body)
 		if err != nil {
 			return
 		}
-		if _, known := s.payloads[req.ID]; known {
-			return
-		}
-		// The payloads map outlives the inbound frame: clone the command
-		// (copy-on-retain); duplicates returned above without allocating.
-		s.payloads[req.ID] = req.Clone()
-		s.buffered = append(s.buffered, req.ID)
-		s.maybeStartBatch()
-	case proto.KindRead:
-		s.handleRead(body)
+		s.Submit(req)
 	case proto.KindEstimate, proto.KindPropose, proto.KindAck, proto.KindDecide:
 		k, err := consensus.InstanceOf(body)
-		if err != nil || k < s.next {
+		if err != nil || k < s.Epoch {
 			return
 		}
-		_ = s.instance(k).OnMessage(m.From, kind, body)
+		_ = s.instance(k).OnMessage(from, kind, body)
 		// Seeing traffic for the current instance means the group is
 		// batching; join with whatever we have (possibly nothing).
-		if k == s.next && !s.running {
+		if k == s.Epoch && !s.running {
 			s.startBatch()
 		}
-	case proto.KindCatchupReq:
-		s.handleCatchupReq(m.From, body)
-	case proto.KindCatchupResp:
-		// A response to a recovery that already completed; drop.
-	default:
-		// Batch envelopes were already expanded by Run; everything else is
-		// not for this replica.
 	}
 }
 
-// handleRead serves a read-only request inline from the replica's delivered
-// prefix, with no consensus instance. Ctab's prefix is never rolled back and
-// positions are identical across replicas (consensus agreement), so every
-// fast-path read reply is tagged with one constant epoch — grouping by
-// consensus instance would only split the client's quorum — and the
-// majority rule buys freshness: a lagging replica alone cannot serve a
-// stale read. Machines without a Reader, and commands that are not
-// well-formed reads, fall back to the ordered path.
-func (s *Server) handleRead(body []byte) {
-	req, err := proto.UnmarshalRead(body)
-	if err != nil {
-		return
-	}
-	if s.reader != nil {
-		if result, ok := s.reader.Query(req.Cmd); ok {
-			s.statReads.Add(1)
-			s.sendReply(req.ID.Client, proto.Reply{
-				Req:    req.ID,
-				From:   s.cfg.ID,
-				Epoch:  0,
-				Weight: proto.WeightOf(s.cfg.ID),
-				Pos:    s.pos,
-				Result: result,
-			})
-			return
-		}
-	}
-	s.statReadFalls.Add(1)
+// Submit implements backend.Protocol: buffer, and start a consensus instance
+// if none is running.
+func (s *Server) Submit(req proto.Request) {
 	if _, known := s.payloads[req.ID]; known {
 		return
 	}
+	// The payloads map outlives the inbound frame: clone the command
+	// (copy-on-retain); duplicates returned above without allocating.
 	s.payloads[req.ID] = req.Clone()
 	s.buffered = append(s.buffered, req.ID)
 	s.maybeStartBatch()
 }
 
+// EndRound implements backend.Protocol; batches start on arrival.
+func (s *Server) EndRound(time.Time) {}
+
 func (s *Server) pending() []proto.Request {
 	var out []proto.Request
 	for _, id := range s.buffered {
-		if _, done := s.delivered[id]; !done {
+		if _, done := s.Delivered[id]; !done {
 			out = append(out, s.payloads[id])
 		}
 	}
@@ -362,10 +144,10 @@ func (s *Server) maybeStartBatch() {
 
 func (s *Server) startBatch() {
 	s.running = true
-	inst := s.instance(s.next)
+	inst := s.instance(s.Epoch)
 	inst.Start(encodeBatch(s.pending()))
-	if d, ok := s.decisions[s.next]; ok {
-		s.applyDecision(s.next, d)
+	if d, ok := s.decisions[s.Epoch]; ok {
+		s.applyDecision(s.Epoch, d)
 	}
 }
 
@@ -374,12 +156,12 @@ func (s *Server) instance(k uint64) *consensus.Instance {
 		return inst
 	}
 	inst := consensus.NewInstance(consensus.Config{
-		Self:     s.cfg.ID,
-		Group:    s.cfg.Group,
-		GroupID:  s.cfg.GroupID,
+		Self:     s.Cfg.ID,
+		Group:    s.Cfg.Group,
+		GroupID:  s.Cfg.GroupID,
 		Instance: k,
-		Send:     s.send,
-		Detector: s.cfg.Detector,
+		Send:     s.Send,
+		Detector: s.Cfg.Detector,
 		OnDecide: func(d consensus.Decision) { s.onDecide(k, d) },
 	})
 	s.instances[k] = inst
@@ -387,7 +169,7 @@ func (s *Server) instance(k uint64) *consensus.Instance {
 }
 
 func (s *Server) onDecide(k uint64, d consensus.Decision) {
-	if k == s.next && s.running {
+	if k == s.Epoch && s.running {
 		s.applyDecision(k, d)
 		return
 	}
@@ -402,7 +184,7 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	for _, pv := range d {
 		reqs, err := decodeBatch(pv.Val)
 		if err != nil {
-			panic(fmt.Sprintf("ctab server %v: corrupt decision from %v: %v", s.cfg.ID, pv.From, err))
+			panic(fmt.Sprintf("ctab server %v: corrupt decision from %v: %v", s.Cfg.ID, pv.From, err))
 		}
 		ids := make(mseq.Seq[proto.RequestID], 0, len(reqs))
 		for _, r := range reqs {
@@ -418,74 +200,71 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 		}
 		seqs = append(seqs, ids)
 	}
-	batch := mseq.Merge(seqs...)
-	for _, id := range batch {
-		if _, done := s.delivered[id]; done {
+	full := proto.FullWeight(s.n)
+	for _, id := range mseq.Merge(seqs...) {
+		if _, done := s.Delivered[id]; done {
 			continue
 		}
-		s.delivered[id] = struct{}{}
 		req := s.payloads[id]
-		result, _ := s.cfg.Machine.Apply(req.Cmd)
-		s.pos++
-		s.ds.Append(req)
-		s.statDelivered.Add(1)
-		s.tracer.ADeliver(s.cfg.ID, k, req.ID, s.pos, result)
-		s.sendReply(req.ID.Client, proto.Reply{
+		result, _ := s.Cfg.Machine.Apply(req.Cmd)
+		s.Pos++
+		s.Commit(req)
+		s.Count.ADelivered.Add(1)
+		s.Cfg.Tracer.ADeliver(s.Cfg.ID, k, req.ID, s.Pos, result)
+		s.SendReply(req.ID.Client, proto.Reply{
 			Req:    req.ID,
-			From:   s.cfg.ID,
+			From:   s.Cfg.ID,
 			Epoch:  k,
-			Weight: proto.FullWeight(s.n),
-			Pos:    s.pos,
+			Weight: full,
+			Pos:    s.Pos,
 			Result: result,
 		})
 	}
 
-	s.statBatches.Add(1)
+	s.Count.Batches.Add(1)
 	delete(s.instances, k)
 	delete(s.decisions, k)
 	s.running = false
-	s.next = k + 1
-	s.ds.Epoch = s.next
-	s.maybeSnapshot()
+	s.Epoch = k + 1
+	s.Boundary()
 	// A decision for the next instance may already be waiting.
-	if _, ok := s.decisions[s.next]; ok {
+	if _, ok := s.decisions[s.Epoch]; ok {
 		s.startBatch()
 		return
 	}
 	s.maybeStartBatch()
 }
 
-// sendReply encodes and ships one reply. On the batching path it is encoded
-// into the reusable scratch; the batcher copies it into the destination's
-// envelope immediately.
-func (s *Server) sendReply(to proto.NodeID, reply proto.Reply) {
-	if s.batching() {
-		s.encBuf = proto.AppendReply(s.encBuf[:0], reply)
-		s.out.Add(to, s.encBuf)
-	} else {
-		_ = s.cfg.Node.Send(to, proto.MarshalReply(reply))
-	}
-}
-
-func (s *Server) tick(now time.Time) {
-	if s.cfg.HeartbeatInterval > 0 && now.Sub(s.lastHeartbeat) >= s.cfg.HeartbeatInterval {
-		s.lastHeartbeat = now
-		// One immutable heartbeat frame per process, encoded at start-up.
-		for _, p := range s.cfg.Group {
-			if p != s.cfg.ID {
-				s.send(p, s.hbFrame)
-			}
-		}
-	}
-	if s.recovering {
-		s.probeCatchup()
-		return
-	}
+// Tick implements backend.Protocol: consensus coordinator suspicion.
+func (s *Server) Tick(now time.Time) {
 	if s.running {
-		if inst, ok := s.instances[s.next]; ok {
+		if inst, ok := s.instances[s.Epoch]; ok {
 			inst.Tick(now)
 		}
 	}
+}
+
+// CanServe implements backend.Protocol: only between batches. A peer
+// mid-instance may have received that instance's deciding broadcasts before
+// the prober's new endpoint came up, and decided instances are
+// garbage-collected — nobody would retransmit. A peer that has not started
+// its next instance has not decided it either, and every replica relays a
+// Decision once on first receipt (reliable-broadcast style), so the
+// responder's own relay of any instance >= its reported one is in the
+// prober's future.
+func (s *Server) CanServe() bool { return !s.running }
+
+// Accept implements backend.Protocol: any peer's boundary state will do —
+// consensus agreed on it.
+func (s *Server) Accept(proto.NodeID, uint64) bool { return true }
+
+// Resume implements backend.Protocol: route the deferred consensus frames —
+// instances below the adopted one are stale and drop out.
+func (s *Server) Resume(deferred []backend.Deferred) {
+	for _, f := range deferred {
+		s.Handle(f.From, f.Kind, f.Body)
+	}
+	s.maybeStartBatch()
 }
 
 // encodeBatch/decodeBatch serialize a request sequence as a consensus value.

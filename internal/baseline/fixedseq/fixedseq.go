@@ -12,285 +12,90 @@
 // protocol (internal/core) exists to close exactly this hole; experiment E1
 // measures it.
 //
-// The replica is group-scoped and rides the shared transport-batching layer
-// (transport.Batcher): all outgoing traffic — orders, replies, heartbeats —
-// is tagged with the ordering group and coalesced per event-loop round into
-// proto.Batch frames, exactly like the OAR hot path, so cross-protocol
-// experiments compare ordering protocols rather than transport disciplines.
-// The package registers itself as the "fixedseq" backend.
+// The package holds only that ordering rule. The replica runs on the shared
+// runtime of internal/backend — the same event loop, send batching, read
+// fast path and crash recovery as OAR — so cross-protocol experiments
+// compare ordering protocols rather than transport disciplines. It registers
+// itself as the "fixedseq" backend.
 package fixedseq
 
 import (
-	"context"
-	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/backend"
-	"repro/internal/fd"
+	"repro/internal/baseline"
 	"repro/internal/mseq"
 	"repro/internal/proto"
-	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
-// Config configures one fixed-sequencer replica.
-type Config struct {
-	// ID is this replica's rank; Group is Π.
-	ID    proto.NodeID
-	Group []proto.NodeID
-	// GroupID is the ordering group (shard) this replica serves. Outgoing
-	// traffic is tagged with it; inbound traffic tagged with a foreign group
-	// is dropped before the body is decoded.
-	GroupID proto.GroupID
-	// Node is the transport endpoint.
-	Node transport.Node
-	// Machine is the deterministic state machine (undo is never used: this
-	// protocol has no rollback — that is its flaw).
-	Machine app.Machine
-	// Detector drives sequencer fail-over.
-	Detector fd.Detector
-	// TickInterval and HeartbeatInterval as in core (same defaults).
-	TickInterval      time.Duration
-	HeartbeatInterval time.Duration
-	// BatchWindow controls the transport-batching layer exactly as in
-	// core.ServerConfig: >= 0 (the default) coalesces each round's sends per
-	// destination into proto.Batch frames; negative disables the layer (the
-	// experiment control).
-	BatchWindow time.Duration
-	// AutoTune gives the send batcher a closed-loop hold-window controller
-	// (internal/tune), exactly as in core.ServerConfig. Requires the
-	// batching layer (BatchWindow >= 0).
-	AutoTune bool
-	// Tracer records deliveries as ADeliver events (they are irrevocable).
-	Tracer backend.Tracer
-	// Recovering boots the replica into catch-up mode: it defers ordering
-	// traffic and refuses reads until it has adopted the sequencer's state
-	// (see recovery.go). Set by cluster.Restart.
-	Recovering bool
+// BackendName is the registry name of the fixed-sequencer baseline.
+const BackendName = "fixedseq"
+
+func init() { backend.Register(fsBackend{}) }
+
+type fsBackend struct{}
+
+func (fsBackend) Name() string { return BackendName }
+
+func (fsBackend) NewReplica(cfg backend.ReplicaConfig) (backend.Replica, error) {
+	return NewServer(cfg)
 }
 
-// Stats are protocol counters.
-type Stats struct {
-	Delivered      uint64
-	Views          uint64 // fail-overs performed
-	OrdersSent     uint64 // sequencer ordering messages sent
-	ForeignDropped uint64 // inbound messages dropped for a foreign GroupID
-	ReadsServed    uint64 // reads answered inline (zero ordering messages)
-	ReadFallbacks  uint64 // reads pushed onto the ordered path
-
-	// Recovery observability (see core.ServerStats).
-	Recoveries           uint64 // completed restart recoveries
-	CatchupServed        uint64 // catch-up responses served with state
-	RecoveryRefusedReads uint64 // reads refused while catching up
-
-	// Send-batcher observability (see core.ServerStats).
-	BatchFrames uint64
-	BatchedMsgs uint64
-	BatchWindow time.Duration
+// NewInvoker returns the classic first-reply client — the adoption rule
+// whose unsafety under the Figure 1(b) fault is the point of this baseline.
+func (fsBackend) NewInvoker(cfg backend.InvokerConfig) (backend.Invoker, error) {
+	return baseline.NewInvoker(cfg)
 }
 
-// Server is one fixed-sequencer replica.
+// Server is one fixed-sequencer replica. Epoch (in the embedded Runtime) is
+// the view: the current sequencer is Group[view mod n]. Undo is never used:
+// this protocol has no rollback — that is its flaw — so every delivery is
+// definitive at once.
 type Server struct {
-	cfg Config
-	n   int
+	backend.Runtime
+	n int
 
-	view      uint64 // current sequencer = Group[view mod n]
-	buffered  mseq.Seq[proto.RequestID]
-	payloads  map[proto.RequestID]proto.Request
-	delivered map[proto.RequestID]struct{}
-	pos       uint64
-
-	out     *transport.Batcher // per-round send coalescing
-	encBuf  []byte             // reusable encode scratch (replies, orders) on the batching path
-	hbFrame []byte             // heartbeat payload, constant per group
+	buffered mseq.Seq[proto.RequestID]
+	payloads map[proto.RequestID]proto.Request
 
 	// orderScratch is the reusable decode target for inbound SeqOrder
 	// bodies (request commands alias the inbound frame; buffer() clones
 	// what it retains).
 	orderScratch proto.SeqOrder
-
-	lastHeartbeat time.Time
-	tracer        backend.Tracer
-
-	// Recovery state (see recovery.go). ds is the in-memory catch-up base
-	// every replica maintains so it can serve a restarted peer.
-	ds          backend.DurableState
-	durable     app.Durable // machine's durable surface; nil without one
-	recovering  bool
-	catchupTick int
-	recoveryBuf [][]byte // deferred SeqOrder bodies (owned copies)
-
-	statDelivered   atomic.Uint64
-	statViews       atomic.Uint64
-	statOrders      atomic.Uint64
-	statForeign     atomic.Uint64
-	statReads       atomic.Uint64
-	statReadFalls   atomic.Uint64
-	statRecoveries  atomic.Uint64
-	statCatchup     atomic.Uint64
-	statReadRefused atomic.Uint64
-
-	// reader is the machine's optional read-only surface; with it, KindRead
-	// requests are answered inline without entering the ordering path.
-	reader app.Reader
 }
 
-// NewServer validates cfg and creates a replica.
-func NewServer(cfg Config) (*Server, error) {
-	if len(cfg.Group) == 0 || len(cfg.Group) > proto.MaxGroupSize {
-		return nil, fmt.Errorf("fixedseq: bad group size %d", len(cfg.Group))
+var _ backend.Protocol = (*Server)(nil)
+
+// NewServer validates cfg and creates a replica. The baseline keeps no WAL:
+// restart recovery is the in-memory peer catch-up alone, and exists so
+// restart-under-load scenarios compare all backends on the same schedule.
+func NewServer(cfg backend.ReplicaConfig) (*Server, error) {
+	s := &Server{n: len(cfg.Group), payloads: make(map[proto.RequestID]proto.Request)}
+	// A recovering replica defers the sequencer's orders and drops raw
+	// requests — they re-arrive inside the orders.
+	err := s.Init(cfg, s, backend.Spec{
+		SnapshotDeliveries: baseline.SnapshotDeliveries,
+		Defer:              []proto.Kind{proto.KindSeqOrder},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Node == nil || cfg.Machine == nil || cfg.Detector == nil {
-		return nil, fmt.Errorf("fixedseq: Node, Machine and Detector are required")
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = backend.DefaultTickInterval
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = backend.DefaultHeartbeatInterval
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = backend.NopTracer()
-	}
-	if cfg.AutoTune && cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("fixedseq: AutoTune requires the batching layer (BatchWindow >= 0)")
-	}
-	var opts transport.BatcherOptions
-	if cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-	}
-	s := &Server{
-		cfg:       cfg,
-		n:         len(cfg.Group),
-		payloads:  make(map[proto.RequestID]proto.Request),
-		delivered: make(map[proto.RequestID]struct{}),
-		out:       transport.NewBatcherWith(cfg.Node, cfg.GroupID, opts),
-		encBuf:    make([]byte, 0, 256),
-		hbFrame:   proto.MarshalHeartbeat(cfg.GroupID),
-		tracer:    cfg.Tracer,
-	}
-	if r, ok := cfg.Machine.(app.Reader); ok {
-		s.reader = r
-	}
-	s.initRecovery()
 	return s, nil
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Server) Stats() Stats {
-	bs := s.out.Stats()
-	return Stats{
-		Delivered:            s.statDelivered.Load(),
-		Views:                s.statViews.Load(),
-		OrdersSent:           s.statOrders.Load(),
-		ForeignDropped:       s.statForeign.Load(),
-		ReadsServed:          s.statReads.Load(),
-		ReadFallbacks:        s.statReadFalls.Load(),
-		Recoveries:           s.statRecoveries.Load(),
-		CatchupServed:        s.statCatchup.Load(),
-		RecoveryRefusedReads: s.statReadRefused.Load(),
-		BatchFrames:          bs.Frames,
-		BatchedMsgs:          bs.Msgs,
-		BatchWindow:          bs.Window,
-	}
-}
-
-// batching reports whether the send-coalescing layer is enabled.
-func (s *Server) batching() bool { return s.cfg.BatchWindow >= 0 }
-
-// send ships one kind-tagged payload, through the round batcher when
-// batching is on.
-func (s *Server) send(to proto.NodeID, payload []byte) {
-	if !s.batching() {
-		_ = s.cfg.Node.Send(to, payload)
-		return
-	}
-	s.out.Add(to, payload)
-}
-
-// flushSpins and maxDrain parameterize transport.DrainLinger exactly as in
-// core.Server.Run: drain the backlog (lingering a couple of scheduler
-// yields for companion messages in flight), then flush every coalesced
-// frame.
-const (
-	flushSpins = 2
-	maxDrain   = 1024
-)
-
-// Run executes the replica loop until ctx ends or the transport closes.
-func (s *Server) Run(ctx context.Context) error {
-	ticker := time.NewTicker(s.cfg.TickInterval)
-	defer ticker.Stop()
-	// Ship anything a held (AutoTune) window still buffers on exit.
-	defer s.out.Close()
-	inbox := s.cfg.Node.Recv()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case m, ok := <-inbox:
-			if !ok {
-				return nil
-			}
-			now := time.Now()
-			handle := func(m transport.Message) {
-				// Senders coalesce rounds into proto.Batch frames; expand
-				// (a non-batch message passes through unchanged). The
-				// handlers clone whatever they retain, so the frame's
-				// pooled buffer is recycled as soon as handling returns.
-				msgs, _ := transport.ExpandBatch(m)
-				for _, inner := range msgs {
-					s.handleMessage(inner, now)
-				}
-				m.Release()
-			}
-			handle(m)
-			spins := 0
-			if s.batching() {
-				spins = flushSpins
-			}
-			if _, open := transport.DrainLinger(inbox, spins, maxDrain-1, handle); !open {
-				return nil
-			}
-			s.out.Flush()
-		case now := <-ticker.C:
-			s.tick(now)
-			s.out.Flush()
-		}
-	}
-}
-
 func (s *Server) sequencer() proto.NodeID {
-	return s.cfg.Group[int(s.view%uint64(s.n))] //nolint:gosec // n ≤ 64
+	return s.Cfg.Group[int(s.Epoch%uint64(s.n))] //nolint:gosec // n ≤ 64
 }
 
-func (s *Server) handleMessage(m transport.Message, now time.Time) {
-	kind, group, body, err := proto.Unmarshal(m.Payload)
-	if err != nil {
-		return
-	}
-	if group != s.cfg.GroupID {
-		s.statForeign.Add(1)
-		return
-	}
-	if s.recovering {
-		s.handleRecovering(m.From, kind, body, now)
-		return
-	}
+// Handle implements backend.Protocol.
+func (s *Server) Handle(_ proto.NodeID, kind proto.Kind, body []byte) {
 	switch kind {
-	case proto.KindHeartbeat:
-		s.cfg.Detector.Observe(m.From, now)
 	case proto.KindRequest:
 		req, err := proto.UnmarshalRequest(body)
 		if err != nil {
 			return
 		}
-		s.buffer(req)
-		s.maybeOrder()
-	case proto.KindRead:
-		s.handleRead(body)
+		s.Submit(req)
 	case proto.KindSeqOrder:
 		// Zero-allocation decode into the scratch order; the commands alias
 		// the inbound frame and are cloned at retention (buffer).
@@ -298,45 +103,18 @@ func (s *Server) handleMessage(m transport.Message, now time.Time) {
 			return
 		}
 		s.handleOrder(s.orderScratch)
-	case proto.KindCatchupReq:
-		s.handleCatchupReq(m.From, body)
-	case proto.KindCatchupResp:
-		// A response to a recovery that already completed; drop.
-	default:
-		// Batch envelopes were already expanded by Run; everything else is
-		// not for this replica.
 	}
 }
 
-// handleRead serves a read-only request inline from the replica's delivered
-// prefix, bypassing the sequencer entirely. The reply is tagged with (view,
-// pos, own weight); the client's majority-validated rule does the rest —
-// which is what keeps fast-path reads on this baseline consistent even
-// though its write path is first-reply. Machines without a Reader — and
-// commands that are not well-formed reads — fall back to the ordered path.
-func (s *Server) handleRead(body []byte) {
-	req, err := proto.UnmarshalRead(body)
-	if err != nil {
-		return
-	}
-	if s.reader != nil {
-		if result, ok := s.reader.Query(req.Cmd); ok {
-			s.statReads.Add(1)
-			s.sendReply(req.ID.Client, proto.Reply{
-				Req:    req.ID,
-				From:   s.cfg.ID,
-				Epoch:  s.view,
-				Weight: proto.WeightOf(s.cfg.ID),
-				Pos:    s.pos,
-				Result: result,
-			})
-			return
-		}
-	}
-	s.statReadFalls.Add(1)
+// Submit implements backend.Protocol: buffer, and order at once if we are
+// the sequencer.
+func (s *Server) Submit(req proto.Request) {
 	s.buffer(req)
 	s.maybeOrder()
 }
+
+// EndRound implements backend.Protocol; the sequencer orders on arrival.
+func (s *Server) EndRound(time.Time) {}
 
 // buffer retains req past the inbound frame's handling, so the command is
 // cloned here (copy-on-retain); duplicates return before the clone.
@@ -351,36 +129,20 @@ func (s *Server) buffer(req proto.Request) {
 // maybeOrder: the sequencer assigns the order to all undelivered buffered
 // messages, ships it, and delivers immediately.
 func (s *Server) maybeOrder() {
-	if s.sequencer() != s.cfg.ID {
+	if s.sequencer() != s.Cfg.ID {
 		return
 	}
 	var pending []proto.Request
 	for _, id := range s.buffered {
-		if _, done := s.delivered[id]; !done {
+		if _, done := s.Delivered[id]; !done {
 			pending = append(pending, s.payloads[id])
 		}
 	}
 	if len(pending) == 0 {
 		return
 	}
-	order := proto.SeqOrder{Epoch: s.view, Reqs: pending}
-	// On the batching path the order is encoded into the reusable scratch
-	// buffer (the batcher copies per destination); the unbatched path needs
-	// an owned payload because the transport queues the slice it is given.
-	var payload []byte
-	if s.batching() {
-		s.encBuf = proto.AppendSeqOrder(s.encBuf[:0], s.cfg.GroupID, order)
-		payload = s.encBuf
-	} else {
-		payload = proto.MarshalSeqOrder(s.cfg.GroupID, order)
-	}
-	s.statOrders.Add(1)
-	for _, p := range s.cfg.Group {
-		if p != s.cfg.ID {
-			s.send(p, payload)
-		}
-	}
-	s.deliverBatch(order.Reqs)
+	s.SendOrder(proto.SeqOrder{Epoch: s.Epoch, Reqs: pending})
+	s.deliverBatch(pending)
 }
 
 // handleOrder delivers a sequencer's batch. Orders from newer views move
@@ -388,76 +150,72 @@ func (s *Server) maybeOrder() {
 // from older views are stale and dropped — the root of the protocol's
 // unsafety, faithfully reproduced.
 func (s *Server) handleOrder(order proto.SeqOrder) {
-	if order.Epoch < s.view {
+	if order.Epoch < s.Epoch {
 		return
 	}
-	if order.Epoch > s.view {
-		s.view = order.Epoch
-	}
+	s.Epoch = order.Epoch
 	s.deliverBatch(order.Reqs)
 }
 
 func (s *Server) deliverBatch(reqs []proto.Request) {
 	for _, req := range reqs {
-		if _, done := s.delivered[req.ID]; done {
+		if _, done := s.Delivered[req.ID]; done {
 			continue
 		}
 		s.buffer(req)
-		s.delivered[req.ID] = struct{}{}
-		result, _ := s.cfg.Machine.Apply(req.Cmd)
-		s.pos++
-		s.ds.Append(req)
-		s.statDelivered.Add(1)
-		s.tracer.ADeliver(s.cfg.ID, s.view, req.ID, s.pos, result)
-		s.sendReply(req.ID.Client, proto.Reply{
+		result, _ := s.Cfg.Machine.Apply(req.Cmd)
+		s.Pos++
+		s.Commit(req)
+		s.Count.ADelivered.Add(1)
+		s.Cfg.Tracer.ADeliver(s.Cfg.ID, s.Epoch, req.ID, s.Pos, result)
+		s.SendReply(req.ID.Client, proto.Reply{
 			Req:    req.ID,
-			From:   s.cfg.ID,
-			Epoch:  s.view,
-			Weight: proto.WeightOf(s.cfg.ID),
-			Pos:    s.pos,
+			From:   s.Cfg.ID,
+			Epoch:  s.Epoch,
+			Weight: proto.WeightOf(s.Cfg.ID),
+			Pos:    s.Pos,
 			Result: result,
 		})
 	}
-	s.ds.Epoch = s.view
-	s.maybeSnapshot()
+	s.Boundary()
 }
 
-// sendReply encodes and ships one reply. On the batching path it is encoded
-// into the reusable scratch; the batcher copies it into the destination's
-// envelope immediately.
-func (s *Server) sendReply(to proto.NodeID, reply proto.Reply) {
-	if s.batching() {
-		s.encBuf = proto.AppendReply(s.encBuf[:0], reply)
-		s.out.Add(to, s.encBuf)
-	} else {
-		_ = s.cfg.Node.Send(to, proto.MarshalReply(reply))
-	}
-}
-
-func (s *Server) tick(now time.Time) {
-	if s.cfg.HeartbeatInterval > 0 && now.Sub(s.lastHeartbeat) >= s.cfg.HeartbeatInterval {
-		s.lastHeartbeat = now
-		// One immutable heartbeat frame per process, encoded at start-up.
-		for _, p := range s.cfg.Group {
-			if p != s.cfg.ID {
-				s.send(p, s.hbFrame)
-			}
-		}
-	}
-	if s.recovering {
-		s.probeCatchup()
-		return
-	}
-	// Naive fail-over: bump the view past every suspected sequencer; if that
-	// makes us the sequencer, re-order everything we have not delivered.
-	// No agreement, no recovery of the old sequencer's deliveries.
+// Tick implements backend.Protocol: the naive fail-over. Bump the view past
+// every suspected sequencer; if that makes us the sequencer, re-order
+// everything we have not delivered. No agreement, no recovery of the old
+// sequencer's deliveries.
+func (s *Server) Tick(now time.Time) {
 	bumped := false
-	for s.sequencer() != s.cfg.ID && s.cfg.Detector.Suspected(s.sequencer(), now) {
-		s.view++
+	for s.sequencer() != s.Cfg.ID && s.Cfg.Detector.Suspected(s.sequencer(), now) {
+		s.Epoch++
 		bumped = true
-		s.statViews.Add(1)
+		s.Count.Views.Add(1)
 	}
 	if bumped {
 		s.maybeOrder()
 	}
+}
+
+// CanServe implements backend.Protocol: only the current sequencer serves
+// catch-up state. It is the single origin of ordering messages, and its link
+// to the prober's new endpoint incarnation is FIFO: every order it ships
+// after answering the probe arrives after the answer, so the adopted prefix
+// plus the deferred order stream is gapless. A non-sequencer's prefix
+// carries no such guarantee (orders it has seen may have been addressed to
+// the prober's previous, dead incarnation).
+func (s *Server) CanServe() bool { return s.sequencer() == s.Cfg.ID }
+
+// Accept implements backend.Protocol: the answer must come from the
+// sequencer of the view it reports; see CanServe.
+func (s *Server) Accept(from proto.NodeID, view uint64) bool {
+	return s.Cfg.Group[int(view%uint64(s.n))] == from //nolint:gosec // n ≤ 64
+}
+
+// Resume implements backend.Protocol: replay the deferred order stream on
+// top of the adopted prefix.
+func (s *Server) Resume(deferred []backend.Deferred) {
+	for _, f := range deferred {
+		s.Handle(f.From, f.Kind, f.Body)
+	}
+	s.maybeOrder()
 }

@@ -1,5 +1,5 @@
 // Package check is the run-time trace checker: it records every protocol
-// event through the core.Tracer interface and mechanically verifies the
+// event through the backend.Tracer interface and mechanically verifies the
 // correctness propositions of the paper (Appendix A) plus the Cnsv-order
 // specification of Section 5.4 on the actual trace of a run.
 //
@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cnsvorder"
-	"repro/internal/core"
 	"repro/internal/proto"
 )
 
@@ -74,7 +73,7 @@ type epochData struct {
 }
 
 // Checker records events and verifies properties. It implements
-// core.Tracer and is safe for concurrent use.
+// backend.Tracer and is safe for concurrent use.
 type Checker struct {
 	n int
 
@@ -109,7 +108,7 @@ type undoneAt struct {
 	pos    uint64
 }
 
-var _ core.Tracer = (*Checker)(nil)
+var _ backend.Tracer = (*Checker)(nil)
 var _ backend.RecoveryTracer = (*Checker)(nil)
 
 // New creates a checker for a group of n servers.
@@ -215,14 +214,14 @@ func (c *Checker) Recoveries() int {
 	return c.recoveries
 }
 
-// Issue implements core.Tracer.
+// Issue implements backend.Tracer.
 func (c *Checker) Issue(_ proto.NodeID, req proto.RequestID, cmd []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.issued[req] = append([]byte(nil), cmd...)
 }
 
-// OptDeliver implements core.Tracer.
+// OptDeliver implements backend.Tracer.
 func (c *Checker) OptDeliver(server proto.NodeID, epoch uint64, req proto.RequestID, pos uint64, result []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -248,7 +247,7 @@ func (c *Checker) OptDeliver(server proto.NodeID, epoch uint64, req proto.Reques
 	sl.optPending[req] = struct{}{}
 }
 
-// OptUndeliver implements core.Tracer.
+// OptUndeliver implements backend.Tracer.
 func (c *Checker) OptUndeliver(server proto.NodeID, epoch uint64, req proto.RequestID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,7 +267,7 @@ func (c *Checker) OptUndeliver(server proto.NodeID, epoch uint64, req proto.Requ
 	delete(sl.optPending, req)
 }
 
-// ADeliver implements core.Tracer.
+// ADeliver implements backend.Tracer.
 func (c *Checker) ADeliver(server proto.NodeID, epoch uint64, req proto.RequestID, pos uint64, result []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -293,7 +292,7 @@ func (c *Checker) ADeliver(server proto.NodeID, epoch uint64, req proto.RequestI
 	sl.delivered[req]++
 }
 
-// EpochClose implements core.Tracer.
+// EpochClose implements backend.Tracer.
 func (c *Checker) EpochClose(server proto.NodeID, epoch uint64, input cnsvorder.Input, result cnsvorder.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,7 +318,7 @@ func (c *Checker) EpochClose(server proto.NodeID, epoch uint64, input cnsvorder.
 	ed.results[server] = result
 }
 
-// Adopt implements core.Tracer.
+// Adopt implements backend.Tracer.
 func (c *Checker) Adopt(client proto.NodeID, req proto.RequestID, reply proto.Reply) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,7 +332,7 @@ func (c *Checker) Adopt(client proto.NodeID, req proto.RequestID, reply proto.Re
 	}
 }
 
-// ReadAdopt implements core.Tracer. The monotonicity check mirrors the
+// ReadAdopt implements backend.Tracer. The monotonicity check mirrors the
 // client's guard exactly: per-client adoption events arrive in the order the
 // client performed them (they are emitted under the client's lock), so an
 // adopted read below the client's running high-water position is a broken

@@ -107,7 +107,7 @@ type Options struct {
 	// deliveries per epoch (0 = off; OAR only); see the Section 5.3 Remark.
 	EpochRequestLimit int
 	// BatchWindow and MaxBatch tune the transport batching layer and (for
-	// OAR) the sequencer's ordering batches; see core.ServerConfig. A
+	// OAR) the sequencer's ordering batches; see backend.ReplicaConfig. A
 	// negative BatchWindow disables send coalescing in every backend;
 	// MaxBatch=1 reproduces the unbatched one-SeqOrder-per-request behavior.
 	BatchWindow time.Duration
@@ -117,14 +117,8 @@ type Options struct {
 	// effective window then floats between the latency floor and MaxWindow.
 	// Requires batching (BatchWindow >= 0).
 	AutoTune bool
-	// Pipeline runs each replica's event loop as decode → order → send
-	// stages on separate goroutines connected by SPSC rings (backends
-	// without a staged loop ignore it); PipelineDepth sets the per-ring
-	// capacity (backend default when zero).
-	Pipeline      bool
-	PipelineDepth int
 	// TickInterval and HeartbeatInterval tune the server loops (defaults
-	// from core).
+	// from backend).
 	TickInterval      time.Duration
 	HeartbeatInterval time.Duration
 	// Tracer observes all protocol events (e.g. a *check.Checker). With
@@ -283,7 +277,13 @@ type shardGroup struct {
 	// latency gap is observable.
 	latency     *metrics.Histogram
 	readLatency *metrics.Histogram
+	// reissues are the group's client endpoints that count the fast-path
+	// reads they re-issued as ordered requests (guarded by mu).
+	reissues []reissueCounter
 }
+
+// reissueCounter is the part of backend.Client the group's stats need.
+type reissueCounter interface{ ReadReissues() uint64 }
 
 // Cluster is a running set of replica groups of one ordering backend.
 type Cluster struct {
@@ -441,8 +441,6 @@ func (c *Cluster) buildReplica(ctx context.Context, sg *shardGroup, i int, machi
 		BatchWindow:       opts.BatchWindow,
 		MaxBatch:          opts.MaxBatch,
 		AutoTune:          opts.AutoTune,
-		Pipeline:          opts.Pipeline,
-		PipelineDepth:     opts.PipelineDepth,
 		Tracer:            sg.tracer,
 		WALDir:            walDir,
 		WALSync:           opts.WALSync,
@@ -660,6 +658,11 @@ func (c *Cluster) newClientAt(idx int) (Invoker, error) {
 			}
 			return nil, err
 		}
+		if rc, ok := inv.(reissueCounter); ok {
+			sg.mu.Lock()
+			sg.reissues = append(sg.reissues, rc)
+			sg.mu.Unlock()
+		}
 		// Every client endpoint records its response times into the group's
 		// histogram (successful invokes only); with several groups the
 		// sharded client below then attributes each request to the group
@@ -721,13 +724,16 @@ func (c *Cluster) TotalStats() backend.Stats {
 }
 
 // ShardStats sums the protocol counters of shard s's replicas and attaches
-// the group's client-observed latency histogram (an owned copy — callers may
-// merge it freely).
+// what only the group's clients can see: their re-issued reads and their
+// latency histograms (owned copies — callers may merge them freely).
 func (c *Cluster) ShardStats(s int) backend.Stats {
 	var total backend.Stats
 	c.shards[s].mu.RLock()
 	for _, rep := range c.shards[s].replicas {
 		total.Accumulate(rep.Stats())
+	}
+	for _, rc := range c.shards[s].reissues {
+		total.ReadReissues += rc.ReadReissues()
 	}
 	c.shards[s].mu.RUnlock()
 	total.Latency = metrics.NewHistogram()
@@ -765,6 +771,55 @@ func (c *Cluster) ReadLatency() metrics.Snapshot {
 		merged.Merge(sg.readLatency)
 	}
 	return merged.Snapshot()
+}
+
+// Quiesce waits until the cluster has nothing left to do: every live replica
+// of a shard stands at the same position — and, where optimistic deliveries
+// still stand beyond the definitive prefix, in the same epoch, because only
+// there do equal positions mean equal prefixes — and nothing moved between
+// two consecutive polls. Crashed replicas are skipped; a restarted one counts
+// from the moment its endpoint is revived, so Quiesce also waits out its
+// catch-up. It reports whether that happened within the timeout.
+//
+// This is the one settle wait for assertions on what the slowest replica has
+// delivered (counters, fingerprints, checker verdicts): a client's reply only
+// proves a majority got there. Where a trace checker is attached, AND it with
+// the checker's LivenessSettled.
+func (c *Cluster) Quiesce(timeout time.Duration) bool {
+	var prev []backend.Position
+	return WaitUntil(timeout, func() bool {
+		cur, level := c.positions()
+		same := level && len(cur) == len(prev)
+		for i := 0; same && i < len(cur); i++ {
+			same = cur[i] == prev[i]
+		}
+		prev = cur
+		return same
+	})
+}
+
+// positions snapshots every live replica's position, shard by shard, and
+// reports whether each shard's replicas stand level.
+func (c *Cluster) positions() (all []backend.Position, level bool) {
+	level = true
+	for _, sg := range c.shards {
+		first := len(all)
+		sameEpoch, optimistic := true, false
+		sg.mu.RLock()
+		for i, rep := range sg.replicas {
+			if sg.net.Crashed(c.group[i]) {
+				continue
+			}
+			p := rep.Position()
+			all = append(all, p)
+			level = level && p.Pos == all[first].Pos
+			sameEpoch = sameEpoch && p.Epoch == all[first].Epoch
+			optimistic = optimistic || p.Pos != p.Definitive
+		}
+		sg.mu.RUnlock()
+		level = level && (sameEpoch || !optimistic)
+	}
+	return all, level
 }
 
 // WaitUntil polls cond every millisecond until it is true or the timeout

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/proto"
 )
 
@@ -16,12 +16,12 @@ const shardTestTimeout = 30 * time.Second
 // shardCheckers builds one trace checker per shard and the TracerFor hook
 // wiring them in. Each group has its own total order, so each gets its own
 // checker.
-func shardCheckers(shards, n int) ([]*check.Checker, func(s int) core.Tracer) {
+func shardCheckers(shards, n int) ([]*check.Checker, func(s int) backend.Tracer) {
 	cks := make([]*check.Checker, shards)
 	for s := range cks {
 		cks[s] = check.New(n)
 	}
-	return cks, func(s int) core.Tracer { return cks[s] }
+	return cks, func(s int) backend.Tracer { return cks[s] }
 }
 
 // keyFor finds a command whose key routes to the wanted shard.
@@ -79,6 +79,16 @@ func TestShardedEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The client's last reply only proves a majority delivered: wait for the
+	// slowest replica of each group before reading counters and verdicts.
+	if !c.Quiesce(shardTestTimeout) {
+		t.Fatal("cluster did not quiesce")
+	}
+	for s, ck := range cks {
+		if !ck.LivenessSettled() {
+			t.Errorf("shard %d quiesced with requests missing at a replica", s)
+		}
+	}
 	// Both groups carried traffic, with no cross-group leakage.
 	for s := 0; s < 2; s++ {
 		st := c.ShardStats(s)

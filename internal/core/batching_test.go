@@ -11,23 +11,20 @@ import (
 
 // TestBatchingModesEquivalent runs the same workload under the batching
 // layer's configurations — disabled (the pre-batching wire behavior),
-// adaptive, windowed, self-tuned, and self-tuned with the pipelined replica
-// loop — and requires identical client-visible semantics: consecutive
-// positions, correct results, and a clean trace-checker verdict.
+// adaptive, windowed and self-tuned — and requires identical client-visible
+// semantics: consecutive positions, correct results, and a clean
+// trace-checker verdict.
 func TestBatchingModesEquivalent(t *testing.T) {
 	modes := []struct {
 		name        string
 		batchWindow time.Duration
 		maxBatch    int
 		autoTune    bool
-		pipeline    bool
 	}{
 		{name: "disabled", batchWindow: -1, maxBatch: 1},
 		{name: "adaptive", batchWindow: 0, maxBatch: 0},
 		{name: "windowed", batchWindow: 2 * time.Millisecond, maxBatch: 4},
 		{name: "autotune", batchWindow: 0, maxBatch: 0, autoTune: true},
-		{name: "pipeline", batchWindow: 0, maxBatch: 0, pipeline: true},
-		{name: "autotune+pipeline", batchWindow: 0, maxBatch: 0, autoTune: true, pipeline: true},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -35,7 +32,7 @@ func TestBatchingModesEquivalent(t *testing.T) {
 			c := mustCluster(t, cluster.Options{
 				N: 3, FD: cluster.FDNever, Tracer: ck,
 				BatchWindow: m.batchWindow, MaxBatch: m.maxBatch,
-				AutoTune: m.autoTune, Pipeline: m.pipeline,
+				AutoTune: m.autoTune,
 			})
 			cli, err := c.NewClient()
 			if err != nil {

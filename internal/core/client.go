@@ -1,465 +1,65 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-
 	"repro/internal/backend"
 	"repro/internal/proto"
 	"repro/internal/rmcast"
-	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
-// ClientConfig configures an OAR client.
-type ClientConfig struct {
-	// ID is the client's node ID (use proto.ClientID(i)).
-	ID proto.NodeID
-	// Group is Π, the server group.
-	Group []proto.NodeID
-	// GroupID is the ordering group this client talks to. Requests carry it
-	// in their identity, outgoing frames are tagged with it, and replies
-	// tagged with a different group are dropped. Zero is the single-group
-	// system.
-	GroupID proto.GroupID
-	// Node is the client's transport endpoint.
-	Node transport.Node
-	// Tracer observes reply adoptions (nil disables tracing).
-	Tracer Tracer
-	// Unbatched disables the adaptive request-batching sender: each
-	// R-multicast copy goes out as its own frame from the invoking
-	// goroutine, the pre-batching behavior. By default concurrent Invokes
-	// are coalesced per server into proto.Batch frames by a sender loop,
-	// with no added latency when the client is idle.
-	Unbatched bool
-	// AutoTune gives the batching sender a closed-loop hold-window
-	// controller (internal/tune): under load, outbound request frames are
-	// held up to the tuned window to coalesce more R-multicast copies per
-	// frame; at idle the window collapses to zero. A drain timer bounds any
-	// hold at about a tick even if no further Invokes arrive. Ignored when
-	// Unbatched.
-	AutoTune bool
+// BackendName is the registry name of the OAR protocol.
+const BackendName = "oar"
+
+func init() { backend.Register(oarBackend{}) }
+
+// oarBackend plugs the two halves of OAR into the shared replica runtime and
+// the shared client.
+type oarBackend struct{}
+
+func (oarBackend) Name() string { return BackendName }
+
+func (oarBackend) NewReplica(cfg backend.ReplicaConfig) (backend.Replica, error) {
+	return NewServer(cfg)
 }
 
-// Client implements the client side of the OAR algorithm (Figure 5):
+// NewInvoker creates the client side of the OAR algorithm (Figure 5):
 // OAR-multicast the request, wait for a set of same-epoch replies whose
 // combined weight reaches ⌈(|Π|+1)/2⌉, then adopt a reply of maximal
 // individual weight.
-//
-// A Client is safe for concurrent use: multiple goroutines may Invoke at
-// once (each request is tracked independently). Start must be called before
-// Invoke, and Stop when done.
-type Client struct {
-	cfg    ClientConfig
-	n      int
-	tracer Tracer
-
-	mu      sync.Mutex
-	rm      *rmcast.RMcast
-	nextSeq uint64
-	pending map[proto.RequestID]*call
-	// highWater is the largest delivery position this client has adopted a
-	// reply at — write or read. Fast-path read replies from shorter prefixes
-	// are discarded (not counted toward adoption), which makes reads monotonic
-	// and read-your-writes: a read issued after an adopted operation can only
-	// adopt state that includes it.
-	highWater uint64
-
-	// Request batching: Invokes enqueue their outbound frames here and a
-	// sender loop coalesces whatever has accumulated per server into one
-	// proto.Batch frame per drain round (nil when cfg.Unbatched).
-	sendCh chan sendJob
-
-	done       chan struct{} // reply-dispatch loop exited
-	senderDone chan struct{} // sender loop exited (closed immediately if unbatched)
-	stop       context.CancelFunc
-	stopOnce   sync.Once
-	stopped    chan struct{} // closed by Stop; unblocks enqueues
-}
-
-// sendJob is one frame bound for one server.
-type sendJob struct {
-	to      proto.NodeID
-	payload []byte
-}
-
-// call accumulates replies for one outstanding request.
-type call struct {
-	byEpoch map[uint64]*epochReplies
-	result  chan proto.Reply // buffered(1); receives the adopted reply
-	adopted bool
-
-	// Read fast path only: rq runs the shared majority-validated adoption
-	// rule and tracks which replicas answered at all, so the invoker can give
-	// up and fall back to the ordered path as soon as the whole group has
-	// answered without an adoptable majority.
-	rq     *backend.ReadQuorum
-	giveUp chan struct{} // closed once every replica answered without adoption
-	gaveUp bool
-	// issueFloor is the client high-water at read-issue time. Only consulted
-	// when StaleReadFloorBug is enabled (fault injection): the correct floor
-	// is the live c.highWater, re-read at every reply.
-	issueFloor uint64
-}
-
-// epochReplies groups the replies of one epoch, per the "for some k" clause
-// of Figure 5 line 3.
-type epochReplies struct {
-	replies []proto.Reply
-	union   proto.Weight
-}
-
-// NewClient validates cfg and creates a client.
-func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Node == nil {
-		return nil, fmt.Errorf("core: client Node is required")
-	}
-	if len(cfg.Group) == 0 {
-		return nil, fmt.Errorf("core: client needs a non-empty group")
-	}
-	if !cfg.ID.IsClient() {
-		return nil, fmt.Errorf("core: %v is not a client ID", cfg.ID)
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = NopTracer()
-	}
-	c := &Client{
-		cfg:        cfg,
-		n:          len(cfg.Group),
-		tracer:     cfg.Tracer,
-		pending:    make(map[proto.RequestID]*call),
-		done:       make(chan struct{}),
-		senderDone: make(chan struct{}),
-		stopped:    make(chan struct{}),
-	}
-	send := func(to proto.NodeID, payload []byte) {
-		_ = cfg.Node.Send(to, payload)
-	}
-	if !cfg.Unbatched {
-		c.sendCh = make(chan sendJob, 256)
-		send = c.enqueue
-	}
-	c.rm = rmcast.New(rmcast.Config{
-		Self:    cfg.ID,
-		Group:   cfg.Group,
-		GroupID: cfg.GroupID,
-		Send:    send,
+func (oarBackend) NewInvoker(cfg backend.InvokerConfig) (backend.Invoker, error) {
+	return backend.NewClient(cfg, majorityWeight(len(cfg.Group)), func(send backend.SendFunc) backend.SubmitFunc {
+		// The rmcast endpoint is guarded by the client lock: the client
+		// calls submit under it.
+		rm := rmcast.New(rmcast.Config{Self: cfg.ID, Group: cfg.Group, GroupID: cfg.GroupID, Send: send})
+		return func(id proto.RequestID, cmd []byte) {
+			// Line 2: R-multicast (m, Π). The inner request is encoded via a
+			// pooled writer: Multicast copies it into the (owned) wrapper
+			// payload before returning.
+			w := proto.GetWriter()
+			proto.EncodeHeader(w, proto.KindRequest, id.Group)
+			proto.Request{ID: id, Cmd: cmd}.Encode(w)
+			rm.Multicast(w.Bytes())
+			proto.PutWriter(w)
+		}
 	})
-	return c, nil
 }
 
-// enqueue hands one outbound frame to the sender loop. After Stop the frame
-// is dropped — outstanding Invokes are failing with their contexts anyway.
-func (c *Client) enqueue(to proto.NodeID, payload []byte) {
-	select {
-	case c.sendCh <- sendJob{to: to, payload: payload}:
-	case <-c.stopped:
-	}
-}
-
-// clientFlushSpins is how many consecutive empty-queue scheduler yields the
-// sender tolerates before flushing a round. Concurrent Invokes serialize on
-// the client mutex, so the goroutine that will enqueue the next frames is
-// often runnable-but-not-yet-run when the queue looks empty; yielding lets it
-// contribute to the current round. An idle client pays only the yields.
-const clientFlushSpins = 2
-
-// sendLoop drains queued frames and flushes them per destination, coalescing
-// the sends of concurrent Invokes into one frame per server per round. With
-// AutoTune the batcher may additionally hold a round's frames to coalesce
-// across rounds; the drain timer guarantees held frames still ship within
-// about a tick when no further Invokes arrive to trigger a flush.
-func (c *Client) sendLoop(ctx context.Context) {
-	defer close(c.senderDone)
-	var opts transport.BatcherOptions
-	if c.cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-	}
-	out := transport.NewBatcherWith(c.cfg.Node, c.cfg.GroupID, opts)
-	defer out.Close()
-	drain := time.NewTimer(time.Hour)
-	if !drain.Stop() {
-		<-drain.C
-	}
-	armed := false
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case job := <-c.sendCh:
-			out.Add(job.to, job.payload)
-			transport.DrainLinger(c.sendCh, clientFlushSpins, maxDrain-1, func(j sendJob) {
-				out.Add(j.to, j.payload)
-			})
-			out.Flush()
-		case <-drain.C:
-			armed = false
-			out.Flush()
+// majorityWeight is lines 3–5 of Figure 5 for a group of n. The per-epoch
+// accumulator retains the reply across frames (the quorum builds up from
+// several servers' frames), so the reply is cloned at retention.
+func majorityWeight(n int) backend.WriteRule {
+	return func(seen *backend.Replies, reply proto.Reply) (proto.Reply, bool) {
+		// Line 3: wait until, for some k, the union weight reaches ⌈(|Π|+1)/2⌉.
+		replies, union := seen.Add(reply.Clone())
+		if !union.IsMajority(n) {
+			return proto.Reply{}, false
 		}
-		if !armed && out.Pending() > 0 {
-			drain.Reset(DefaultTickInterval)
-			armed = true
-		}
-	}
-}
-
-// Start launches the reply-dispatch loop (and the batching sender loop).
-func (c *Client) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.stop = cancel
-	go c.loop(ctx)
-	if c.sendCh != nil {
-		go c.sendLoop(ctx)
-	} else {
-		close(c.senderDone)
-	}
-}
-
-// Stop terminates the dispatch and sender loops and waits for them to exit.
-// Outstanding Invokes fail with their context (or hang until their context
-// ends), so cancel those first.
-func (c *Client) Stop() {
-	if c.stop != nil {
-		c.stop()
-	}
-	c.stopOnce.Do(func() { close(c.stopped) })
-	<-c.done
-	<-c.senderDone
-}
-
-func (c *Client) loop(ctx context.Context) {
-	defer close(c.done)
-	var replies []proto.Reply // reused across frames
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m, ok := <-c.cfg.Node.Recv():
-			if !ok {
-				return
+		// Lines 4–5: adopt a reply with the largest individual weight.
+		best := replies[0]
+		for _, r := range replies[1:] {
+			if r.Weight.Count() > best.Weight.Count() {
+				best = r
 			}
-			// Servers coalesce the replies of one delivery round into a
-			// proto.Batch frame; expand it (a non-batch message passes
-			// through unchanged), decode the inner replies, and process the
-			// whole frame under one lock. The decoded results alias the
-			// frame; onReplies clones whatever it retains, so the frame's
-			// pooled buffer is recycled as soon as dispatch returns.
-			msgs, _ := transport.ExpandBatch(m)
-			replies = replies[:0]
-			for _, inner := range msgs {
-				kind, group, body, err := proto.Unmarshal(inner.Payload)
-				if err != nil || kind != proto.KindReply || group != c.cfg.GroupID {
-					continue
-				}
-				reply, err := proto.UnmarshalReply(body)
-				if err != nil {
-					continue
-				}
-				replies = append(replies, reply)
-			}
-			c.onReplies(replies)
-			m.Release()
 		}
+		return best, true
 	}
-}
-
-// onReplies runs lines 3–5 of Figure 5 for every reply of one received
-// frame, holding the client lock once rather than per reply.
-func (c *Client) onReplies(replies []proto.Reply) {
-	if len(replies) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, reply := range replies {
-		c.onReplyLocked(reply)
-	}
-}
-
-// onReplyLocked implements lines 3–5 of Figure 5. Caller holds c.mu.
-//
-// The per-epoch accumulator retains the reply across frames (the quorum
-// builds up from several servers' frames), and the adopted reply is handed
-// to the invoking goroutine — both outlive the inbound frame the reply was
-// decoded from. The reply is therefore cloned at retention (copy-on-retain);
-// replies for unknown or already-adopted requests cost nothing.
-func (c *Client) onReplyLocked(reply proto.Reply) {
-	call, ok := c.pending[reply.Req]
-	if !ok || call.adopted {
-		return
-	}
-	if call.rq != nil {
-		c.onReadReplyLocked(call, reply)
-		return
-	}
-	acc, ok := call.byEpoch[reply.Epoch]
-	if !ok {
-		acc = &epochReplies{}
-		call.byEpoch[reply.Epoch] = acc
-	}
-	acc.replies = append(acc.replies, reply.Clone())
-	acc.union = acc.union.Union(reply.Weight)
-
-	// Line 3: wait until, for some k, the union weight reaches ⌈(|Π|+1)/2⌉.
-	if !acc.union.IsMajority(c.n) {
-		return
-	}
-	// Lines 4–5: adopt a reply with the largest individual weight.
-	best := acc.replies[0]
-	for _, r := range acc.replies[1:] {
-		if r.Weight.Count() > best.Weight.Count() {
-			best = r
-		}
-	}
-	call.adopted = true
-	call.result <- best
-	delete(c.pending, reply.Req)
-	if best.Pos > c.highWater {
-		c.highWater = best.Pos
-	}
-	c.tracer.Adopt(c.cfg.ID, reply.Req, best)
-}
-
-// onReadReplyLocked feeds a read call's reply through the shared
-// majority-validated adoption rule (backend.ReadQuorum). Replies below the
-// client's high-water mark are discarded before they enter the accumulator
-// (they would break monotonic reads) but still count toward the answered
-// weight, so a read that can never be adopted — e.g. every replica behind
-// the client's last write — falls back instead of hanging. Caller holds
-// c.mu.
-func (c *Client) onReadReplyLocked(rc *call, reply proto.Reply) {
-	defer func() {
-		if !rc.adopted && !rc.gaveUp && rc.rq.AllAnswered() {
-			rc.gaveUp = true
-			close(rc.giveUp)
-		}
-	}()
-	floor := c.highWater
-	if StaleReadFloorBug.Load() {
-		floor = rc.issueFloor // injected bug: floor frozen at issue time
-	}
-	if reply.Pos < floor {
-		rc.rq.Answer(reply)
-		return // stale prefix: predates this client's last adopted operation
-	}
-	best, ok := rc.rq.Offer(reply.Clone(), floor)
-	if !ok {
-		return
-	}
-	rc.adopted = true
-	rc.result <- best
-	delete(c.pending, reply.Req)
-	if best.Pos > c.highWater {
-		c.highWater = best.Pos
-	}
-	c.tracer.ReadAdopt(c.cfg.ID, reply.Req, best)
-}
-
-// Invoke performs OAR-multicast(m, Π) and blocks until a reply is adopted or
-// ctx ends. The returned Reply carries the application result, the delivery
-// position and the endorsing weight.
-func (c *Client) Invoke(ctx context.Context, cmd []byte) (proto.Reply, error) {
-	c.mu.Lock()
-	id := proto.RequestID{Group: c.cfg.GroupID, Client: c.cfg.ID, Seq: c.nextSeq}
-	c.nextSeq++
-	call := &call{
-		byEpoch: make(map[uint64]*epochReplies),
-		result:  make(chan proto.Reply, 1),
-	}
-	c.pending[id] = call
-	c.tracer.Issue(c.cfg.ID, id, cmd)
-	// Line 2: R-multicast (m, Π). The rmcast endpoint is guarded by c.mu.
-	// The inner request is encoded via a pooled writer: Multicast copies it
-	// into the (owned) wrapper payload before returning.
-	w := proto.GetWriter()
-	proto.EncodeHeader(w, proto.KindRequest, id.Group)
-	proto.Request{ID: id, Cmd: cmd}.Encode(w)
-	c.rm.Multicast(w.Bytes())
-	proto.PutWriter(w)
-	c.mu.Unlock()
-
-	select {
-	case reply := <-call.result:
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return proto.Reply{}, fmt.Errorf("core: invoke %v: %w", id, ctx.Err())
-	}
-}
-
-// readFallbackTimeout bounds how long a fast-path read waits for an
-// adoptable majority before re-issuing on the ordered path. It only fires
-// when replies were lost or replicas hang — the all-answered-without-adoption
-// case falls back immediately — so it is deliberately generous next to
-// normal round-trip latency.
-const readFallbackTimeout = 64 * DefaultTickInterval
-
-// InvokeRead performs a read-only request on the fast path: the command goes
-// directly to every replica of the group — no reliable multicast, no
-// sequencer, no position in the definitive order — and each replica that
-// implements app.Reader answers inline from its optimistic prefix. The reply
-// is adopted under the majority-validated rule of onReadReplyLocked, which
-// also keeps this client's reads monotonic and read-your-writes.
-//
-// A read that cannot be adopted — the machine has no Reader, the command is
-// not a well-formed read, or no compatible majority forms — falls back to
-// the ordered path via a fresh Invoke (safe: the fast-path attempt had no
-// effect on any replica). Replica-side fallbacks resolve transparently: all
-// replicas then reply from the request's single delivery position, which
-// satisfies the read rule at that position.
-func (c *Client) InvokeRead(ctx context.Context, cmd []byte) (proto.Reply, error) {
-	c.mu.Lock()
-	id := proto.RequestID{Group: c.cfg.GroupID, Client: c.cfg.ID, Seq: c.nextSeq}
-	c.nextSeq++
-	rc := &call{
-		result:     make(chan proto.Reply, 1),
-		rq:         backend.NewReadQuorum(c.n),
-		giveUp:     make(chan struct{}),
-		issueFloor: c.highWater,
-	}
-	c.pending[id] = rc
-	c.mu.Unlock()
-
-	// One owned frame shared across every destination: sent payloads are
-	// immutable, and the batching sender copies on Add anyway.
-	frame := proto.MarshalRead(proto.Request{ID: id, Cmd: cmd, ReadOnly: true})
-	for _, srv := range c.cfg.Group {
-		if c.sendCh != nil {
-			c.enqueue(srv, frame)
-		} else {
-			_ = c.cfg.Node.Send(srv, frame)
-		}
-	}
-
-	timer := time.NewTimer(readFallbackTimeout)
-	defer timer.Stop()
-	select {
-	case reply := <-rc.result:
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return proto.Reply{}, fmt.Errorf("core: read %v: %w", id, ctx.Err())
-	case <-rc.giveUp:
-	case <-timer.C:
-	}
-
-	// Fall back to the ordered path. Retire the fast-path attempt first;
-	// once it leaves pending no late adoption can race the re-issue, and an
-	// adoption that slipped in before the lock sits in the buffered result
-	// channel.
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-	select {
-	case reply := <-rc.result:
-		return reply, nil
-	default:
-	}
-	return c.Invoke(ctx, cmd)
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // footprint reaches through the protocol-agnostic replica handle to the OAR
-// server's bookkeeping gauge.
+// server's bookkeeping sizes. The cluster must be stopped.
 func footprint(c *cluster.Cluster, i int) core.Footprint {
-	return c.Replica(0, i).(interface{ Footprint() core.Footprint }).Footprint()
+	return c.Replica(0, i).(*core.Server).Footprint()
 }
 
 // TestBookkeepingBoundedByEpochGC is the regression test for the unbounded
@@ -39,24 +39,21 @@ func TestBookkeepingBoundedByEpochGC(t *testing.T) {
 		invoke(t, cli, fmt.Sprintf("m%d", i))
 	}
 
-	// Every request definitively delivered everywhere, and the live tables
-	// drained: nothing is pending and only the tail epoch's requests (not
-	// yet forced through phase 2 by the limit) may still be buffered.
-	maxLive := 3 * limit
-	settled := func() bool {
-		for i := 0; i < 3; i++ {
-			fp := footprint(c, i)
-			if fp.ADelivered < requests-limit || fp.Payloads > maxLive || fp.Pending != 0 {
-				return false
-			}
-		}
-		return true
+	// Once nothing moves any more, every request is definitively delivered
+	// everywhere and the live tables are drained: nothing is pending and only
+	// the tail epoch's requests (not yet forced through phase 2 by the limit)
+	// may still be buffered. The sizes are the event loops' own state, so
+	// they are read after the loops have exited.
+	if !c.Quiesce(testTimeout) {
+		t.Fatal("cluster did not quiesce")
 	}
-	if !cluster.WaitUntil(testTimeout, settled) {
-		for i := 0; i < 3; i++ {
-			t.Logf("p%d footprint: %+v", i, footprint(c, i))
+	c.Stop()
+	maxLive := 3 * limit
+	for i := 0; i < 3; i++ {
+		fp := footprint(c, i)
+		if fp.ADelivered < requests-limit || fp.Payloads > maxLive || fp.Pending != 0 {
+			t.Fatalf("p%d: per-request bookkeeping did not drain after A-delivery: %+v", i, fp)
 		}
-		t.Fatal("per-request bookkeeping did not drain after A-delivery")
 	}
 	for i := 0; i < 3; i++ {
 		fp := footprint(c, i)

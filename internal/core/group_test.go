@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fd"
@@ -24,7 +25,7 @@ func TestServerDropsForeignGroupTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := core.NewServer(core.ServerConfig{
+	srv, err := core.NewServer(backend.ReplicaConfig{
 		ID:                0,
 		Group:             proto.Group(1),
 		GroupID:           1,

@@ -210,5 +210,8 @@ func TestReadNeverAdoptsDoomedPrefix(t *testing.T) {
 	if read.Pos <= 2 {
 		t.Fatalf("ordered read adopted at pos %d, inside the pre-partition prefix", read.Pos)
 	}
+	// The verdict is about the whole group: wait until the minority has
+	// rolled its doomed prefix back and caught up.
+	settle(t, c, ck)
 	verifyAll(t, ck, true)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/backend"
 	"repro/internal/fd"
 	"repro/internal/proto"
 	"repro/internal/transport"
@@ -32,7 +33,7 @@ func (s *sinkNode) Close() error                    { s.q.Close(); return nil }
 // issueTracer signals once the client has registered its request, so the
 // test can deliver replies only after the call is pending.
 type issueTracer struct {
-	Tracer
+	backend.Tracer
 	issued chan struct{}
 }
 
@@ -56,12 +57,11 @@ func (t *issueTracer) Issue(proto.NodeID, proto.RequestID, []byte) {
 func TestPooledReplyBufferReuseSafety(t *testing.T) {
 	node := newSinkNode(proto.ClientID(0))
 	group := proto.Group(3)
-	tracer := &issueTracer{Tracer: NopTracer(), issued: make(chan struct{}, 1)}
-	cli, err := NewClient(ClientConfig{ID: proto.ClientID(0), Group: group, Node: node, Tracer: tracer})
+	tracer := &issueTracer{Tracer: backend.NopTracer(), issued: make(chan struct{}, 1)}
+	cli, err := oarBackend{}.NewInvoker(backend.InvokerConfig{ID: proto.ClientID(0), Group: group, Node: node, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Start()
 	defer cli.Stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -151,7 +151,7 @@ func TestPooledReplyBufferReuseSafety(t *testing.T) {
 func TestPooledRequestBufferReuseSafety(t *testing.T) {
 	node := newSinkNode(proto.NodeID(0))
 	defer node.Close()
-	srv, err := NewServer(ServerConfig{
+	srv, err := NewServer(backend.ReplicaConfig{
 		ID:       proto.NodeID(0),
 		Group:    proto.Group(3),
 		Node:     node,
@@ -174,7 +174,11 @@ func TestPooledRequestBufferReuseSafety(t *testing.T) {
 	f.Buf = proto.AppendSeqOrder(f.Buf, 0, proto.SeqOrder{Epoch: 2, Reqs: []proto.Request{req}})
 	fbuf := f.Buf
 	m := transport.OwnedMessage(proto.NodeID(1), f.Buf, f)
-	srv.handleMessage(m, time.Now())
+	kind, _, body, err := proto.Unmarshal(m.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Handle(m.From, kind, body)
 	m.Release()
 
 	// Recycle simulation: the frame's bytes now belong to someone else.

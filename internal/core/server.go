@@ -1,235 +1,56 @@
+// Package core implements the Optimistic Active Replication (OAR) protocol
+// of Felber & Schiper (ICDCS 2001): the client-side weight-quorum algorithm
+// of Figure 5 and the server-side epoch algorithm of Figure 6 (Tasks 0,
+// 1a, 1b, 1c and 2), with conservative ordering per Figure 7 via
+// Maj-validity consensus. Everything a replica or a client does that is not
+// the protocol — event loop, batching, reads, durability, recovery — is
+// internal/backend's.
+//
+// Execution model: each server is one goroutine owning all protocol state —
+// the paper's "tasks execute in any order, but in mutual exclusion" — fed by
+// a transport inbox and a timer tick. During phase 2, Task 0 (buffering),
+// heartbeats and consensus stay live while Tasks 1a/1b are suppressed for
+// the epoch, exactly as the "wait until decide" in Figure 6 implies.
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/backend"
 	"repro/internal/cnsvorder"
 	"repro/internal/consensus"
-	"repro/internal/fd"
 	"repro/internal/mseq"
 	"repro/internal/proto"
 	"repro/internal/rmcast"
-	"repro/internal/transport"
-	"repro/internal/tune"
-	"repro/internal/wal"
 )
 
-// Defaults for ServerConfig. The loop intervals live in backend (they are
-// shared by every protocol); DefaultMaxBatch is OAR's own.
-const (
-	DefaultTickInterval      = backend.DefaultTickInterval
-	DefaultHeartbeatInterval = backend.DefaultHeartbeatInterval
-	// DefaultMaxBatch is the ordering batch size used when MaxBatch is zero.
-	DefaultMaxBatch = 512
-	// DefaultPipelineDepth is the per-ring capacity of the pipelined event
-	// loop when PipelineDepth is zero.
-	DefaultPipelineDepth = 256
-)
+// DefaultMaxBatch is the ordering batch size used when MaxBatch is zero.
+const DefaultMaxBatch = 512
 
-// maxDrain bounds how many backlogged messages one event-loop round absorbs
-// before running the deferred ordering flush, so a flooded replica still
-// orders (and heartbeats) regularly.
-const maxDrain = 1024
-
-// serverFlushSpins is how many consecutive empty-inbox scheduler yields a
-// batching replica tolerates before closing its round (see Run).
-const serverFlushSpins = 2
-
-// ServerConfig configures one OAR replica.
-type ServerConfig struct {
-	// ID is this replica's rank in Π.
-	ID proto.NodeID
-	// Group is Π. Must contain ID; |Π| ≤ 64.
-	Group []proto.NodeID
-	// GroupID is the ordering group (shard) this replica belongs to. Every
-	// outgoing message is tagged with it and inbound messages tagged with a
-	// different group are dropped, so several groups can share a transport
-	// without ever mixing their protocol state. Zero is the single-group
-	// system.
-	GroupID proto.GroupID
-	// Node is the replica's transport endpoint.
-	Node transport.Node
-	// Machine is the deterministic, undoable replicated state machine.
-	Machine app.Machine
-	// Detector is the ◊S failure detector used to suspect the sequencer and
-	// consensus coordinators. Required.
-	Detector fd.Detector
-	// RelayMode selects the reliable-multicast relay strategy (default Eager).
-	RelayMode rmcast.Mode
-	// TickInterval drives Task 1a batching, suspicion sampling, heartbeats
-	// and consensus timeouts. Default DefaultTickInterval.
-	TickInterval time.Duration
-	// HeartbeatInterval is the gap between heartbeats to peers. Default
-	// DefaultHeartbeatInterval. Set negative to disable heartbeats (e.g.
-	// when using an Oracle detector).
-	HeartbeatInterval time.Duration
-	// EpochRequestLimit, when positive, makes the sequencer R-broadcast a
-	// PhaseII after that many optimistic deliveries in one epoch — the
-	// garbage-collection mechanism of the Remark in Section 5.3 that bounds
-	// the O_delivered sequence.
-	EpochRequestLimit int
-	// BatchWindow is how long the sequencer may hold pending requests to
-	// grow an ordering batch. Zero (the default) is adaptive batching with no
-	// added latency: each event-loop round first drains the inbox backlog and
-	// then orders everything that arrived in one SeqOrder, so batches form
-	// exactly when there is load. A positive window additionally delays
-	// ordering until the oldest pending request is that old (or MaxBatch is
-	// reached), trading latency for larger batches; its precision is bounded
-	// by TickInterval. A negative window disables the batching layer
-	// entirely — per-message sends and one ordering round per request, the
-	// pre-batching behavior — which is the control in experiment E8.
-	BatchWindow time.Duration
-	// MaxBatch caps the number of requests per SeqOrder message (larger
-	// pending sets are ordered as several messages in one round). Zero means
-	// DefaultMaxBatch; 1 reproduces the unbatched one-SeqOrder-per-request
-	// behavior.
-	MaxBatch int
-	// AutoTune replaces the static send-side coalescing with a closed-loop
-	// controller (internal/tune): the replica's outbound batcher holds
-	// envelopes up to a continuously adjusted window — zero when idle, up to
-	// the controller's ceiling when frames ship under-filled — observing
-	// every shipped frame's coalescing and hold latency. The ordering-side
-	// BatchWindow semantics are unchanged (AutoTune adds exactly one hold
-	// point, at the transport). Requires the batching layer (BatchWindow >= 0).
-	AutoTune bool
-	// Pipeline splits the event loop into decode → order → send stages on
-	// separate goroutines connected by SPSC rings, so envelope decoding and
-	// reply/ordering marshalling run off the protocol goroutine and one
-	// group can use multiple cores. Protocol state stays single-writer. The
-	// default single-goroutine loop remains when false. Requires the
-	// batching layer (BatchWindow >= 0).
-	Pipeline bool
-	// PipelineDepth is the capacity of each pipeline ring (default
-	// DefaultPipelineDepth).
-	PipelineDepth int
-	// WALDir enables the write-ahead log: A-delivered commands and epoch
-	// markers are persisted there and replayed on the next boot (empty
-	// disables durability). WALSync selects the fsync policy: SyncAlways
-	// syncs once per closed epoch, before the conservative replies ship, so
-	// every fully-acked command is on disk; SyncNever leaves flushing to the
-	// OS (crash-recovery then leans on peer catch-up for the tail).
-	WALDir  string
-	WALSync wal.SyncPolicy
-	// SnapshotEvery takes a machine snapshot every that many closed epochs
-	// (0 = DefaultSnapshotEvery, negative = never). Snapshots are taken at
-	// epoch boundaries — the undo-set is empty there, so the image is a pure
-	// A-delivered prefix — and bound both the on-disk WAL and the in-memory
-	// catch-up tail. Requires the Machine to implement app.Durable.
-	SnapshotEvery int
-	// Recovering marks a replica booting after a crash: after replaying its
-	// local snapshot+WAL it defers all protocol traffic, refuses fast-path
-	// reads, and probes its peers (KindCatchupReq) until it has adopted a
-	// peer's definitive boundary state; only then does it re-enter ordering.
-	Recovering bool
-	// Incarnation counts this replica's boots (0 for the first); restarted
-	// replicas claim the reliable-multicast sequence range
-	// [Incarnation<<32, ...) so peers' dedup state from the previous
-	// incarnation cannot swallow their multicasts.
-	Incarnation uint64
-	// Tracer observes protocol events (nil disables tracing).
-	Tracer Tracer
-}
-
-// ServerStats are monotonically increasing protocol counters, readable
-// concurrently while the server runs.
-type ServerStats struct {
-	OptDelivered   uint64 // optimistic deliveries (Fig. 6 line 17)
-	OptUndelivered uint64 // undone deliveries (Fig. 6 line 26)
-	ADelivered     uint64 // conservative deliveries (Fig. 6 line 28)
-	Epochs         uint64 // completed phase-2 rounds
-	SeqOrdersSent  uint64 // Task 1a ordering messages sent
-	ForeignDropped uint64 // inbound messages dropped for a foreign GroupID
-
-	// Read fast path: reads answered inline from the optimistic prefix
-	// (zero ordering messages) and reads that fell back to the ordered path
-	// because the machine has no Reader or refused the command.
-	ReadsServed   uint64
-	ReadFallbacks uint64
-
-	// Recovery counters: completed crash-recoveries, catch-up probes this
-	// replica answered with state, and fast-path reads refused (dropped)
-	// because the replica had not caught up yet.
-	Recoveries           uint64
-	CatchupServed        uint64
-	RecoveryRefusedReads uint64
-
-	// Send-batcher observability: how many frames the replica shipped, how
-	// many protocol messages they carried, and the effective hold window at
-	// snapshot time (the AutoTune controller's output; the static window
-	// otherwise).
-	BatchFrames uint64
-	BatchedMsgs uint64
-	BatchWindow time.Duration
-}
-
-// Delivered is the net delivery count: optimistic plus conservative
-// deliveries minus rollbacks. The three counters are independently-updated
-// atomics, so a concurrent snapshot can land between related increments and
-// transiently violate OptDelivered+ADelivered >= OptUndelivered; the sum is
-// therefore computed signed and clamped at zero rather than wrapping to a
-// near-2^64 value.
-func (s ServerStats) Delivered() uint64 {
-	d := int64(s.OptDelivered) + int64(s.ADelivered) - int64(s.OptUndelivered) //nolint:gosec // counters far below 2^63
-	if d < 0 {
-		return 0
-	}
-	return uint64(d)
-}
-
-// Accumulate adds other's counters to s (used to aggregate replicas and
-// shards). BatchWindow, a gauge, aggregates as the maximum.
-func (s *ServerStats) Accumulate(other ServerStats) {
-	s.OptDelivered += other.OptDelivered
-	s.OptUndelivered += other.OptUndelivered
-	s.ADelivered += other.ADelivered
-	s.Epochs += other.Epochs
-	s.SeqOrdersSent += other.SeqOrdersSent
-	s.ForeignDropped += other.ForeignDropped
-	s.ReadsServed += other.ReadsServed
-	s.ReadFallbacks += other.ReadFallbacks
-	s.Recoveries += other.Recoveries
-	s.CatchupServed += other.CatchupServed
-	s.RecoveryRefusedReads += other.RecoveryRefusedReads
-	s.BatchFrames += other.BatchFrames
-	s.BatchedMsgs += other.BatchedMsgs
-	if other.BatchWindow > s.BatchWindow {
-		s.BatchWindow = other.BatchWindow
-	}
-}
-
-// Server is one OAR replica. Create with NewServer, drive with Run.
+// Server is one OAR replica: Figure 6's tasks and Figure 7's Cnsv-order on
+// the shared replica runtime, which supplies the event loop, sends, the read
+// fast path, durability and crash recovery. Epoch (k), Pos (next delivery
+// position - 1, the reply value of App. A) and Delivered (A_delivered, as a
+// set) live in the embedded Runtime. Create with NewServer, drive with Run.
 type Server struct {
-	cfg ServerConfig
-	n   int
-	rm  *rmcast.RMcast
-
-	// reader is the machine's optional read-only interface (nil when the
-	// machine does not implement app.Reader); with it, KindRead requests are
-	// answered inline from the event loop without touching the ordering
-	// pipeline.
-	reader app.Reader
+	backend.Runtime
+	n  int
+	rm *rmcast.RMcast
 
 	// Figure 6 state. rOrder holds only live requests: entries are pruned
-	// (with rKnown and payloads) once a request is A-delivered, so the
-	// per-request footprint is bounded by the in-flight window, not the run
-	// length. pending and oSet are incremental views kept in sync with it:
-	// pending == (rOrder ⊖ aDelivered) ⊖ oDelivered and oSet == set(oDelivered),
+	// (with payloads) once a request is A-delivered, so the per-request
+	// footprint is bounded by the in-flight window, not the run length.
+	// pending and oSet are incremental views kept in sync with it:
+	// pending == (rOrder ⊖ A_delivered) ⊖ oDelivered and oSet == set(oDelivered),
 	// replacing the per-call full scans of the original implementation.
 	rOrder     mseq.Seq[proto.RequestID]         // R_delivered, not yet A-delivered (arrival order)
 	payloads   map[proto.RequestID]proto.Request // request bodies by ID; doubles as the set view of rOrder
-	aDelivered map[proto.RequestID]struct{}      // A_delivered (set view)
 	oDelivered mseq.Seq[proto.RequestID]         // O_delivered (current epoch)
 	oSet       map[proto.RequestID]struct{}      // set view of oDelivered
 	pending    mseq.Seq[proto.RequestID]         // unordered live requests, arrival order
 	undoStack  []func()                          // undo closures, aligned with oDelivered
-	epoch      uint64                            // k
 	inPhase2   bool
-	pos        uint64 // next delivery position - 1 (reply value of App. A)
 
 	// Batching state (Task 1a flush control).
 	orderDirty     bool      // pending grew since the last flush decision
@@ -244,26 +65,6 @@ type Server struct {
 	decisions     map[uint64]consensus.Decision // decided, possibly before we start the epoch's phase 2
 	ownInput      cnsvorder.Input               // our proposal for the current epoch's phase 2
 
-	lastHeartbeat time.Time
-	tracer        Tracer
-
-	// Per-round outbound coalescing: every send of one event-loop round is
-	// appended to a per-destination envelope buffer and flushed as one
-	// proto.Batch frame at the end of the round (relays, ordering messages,
-	// replies and consensus traffic share frames). The buffers are reused
-	// across rounds and the flushed frames come from the shared frame pool,
-	// so the steady-state send path allocates nothing.
-	out     *transport.Batcher
-	encBuf  []byte // reusable encode scratch for replies and ordering messages
-	hbFrame []byte // heartbeat payload, constant per group
-
-	// tuner is the AutoTune controller driving the batcher's hold window
-	// (nil without AutoTune). pipe is the staged event loop (nil without
-	// Pipeline); when set, sends route through its rings instead of touching
-	// s.out directly — the batcher is owned by the pipeline's sender stage.
-	tuner *tune.Controller
-	pipe  *pipeline
-
 	// orderScratch is the reusable decode target for inbound SeqOrder
 	// bodies: the steady-state decode allocates nothing, and the decoded
 	// request commands alias the inbound frame (anything retained past the
@@ -273,302 +74,81 @@ type Server struct {
 	orderScratch proto.SeqOrder
 	reqScratch   []proto.Request
 
-	// Durability & recovery state (recovery.go). log is the open WAL (nil
-	// without WALDir); ds is the in-memory boundary state every replica
-	// maintains for peer catch-up. recovering defers all protocol traffic to
-	// recoveryBuf until a peer's boundary state is adopted; observing spans
-	// the join epoch after adoption — the replica participates in phase 2
-	// but neither orders nor Opt-delivers until the epoch closes, because
-	// mid-epoch opt positions assigned before its restart are unknowable.
-	log          *wal.Log
-	ds           backend.DurableState
-	snapEvery    int
-	sinceSnap    int
-	walBuf       []byte // reusable WAL-record encode scratch
-	recovering   bool
+	// Observe mode: the join epoch after a crash recovery. Orderings sent
+	// before the restart are lost, so Opt-delivering a later one would assign
+	// wrong positions and claim the sequencer's endorsement weight for them —
+	// a single such {p,s} reply would look like a majority to a client of a
+	// 3-replica group. The replica therefore takes part in phase 2 (its
+	// O_delivered proposal is empty) but neither orders nor Opt-delivers
+	// until the epoch closes; the closing decision carries the epoch's full
+	// payloads, so it A-delivers the whole epoch then and leaves observe mode
+	// in lockstep with its peers.
 	observing    bool
 	observeEpoch uint64
-	catchupTick  int
-	recoveryBuf  []deferredFrame
-
-	statOpt         atomic.Uint64
-	statUndo        atomic.Uint64
-	statA           atomic.Uint64
-	statEpochs      atomic.Uint64
-	statOrders      atomic.Uint64
-	statForeign     atomic.Uint64
-	statReads       atomic.Uint64
-	statReadFalls   atomic.Uint64
-	statRecoveries  atomic.Uint64
-	statCatchup     atomic.Uint64
-	statReadRefused atomic.Uint64
-
-	// fp is the footprint snapshot published at the end of every event-loop
-	// round, so Footprint is safe to poll while the server runs.
-	fp atomic.Pointer[Footprint]
 }
 
+var _ backend.Protocol = (*Server)(nil)
+
 // NewServer validates cfg and creates a replica.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if len(cfg.Group) == 0 || len(cfg.Group) > proto.MaxGroupSize {
-		return nil, fmt.Errorf("core: group size %d out of range [1,%d]", len(cfg.Group), proto.MaxGroupSize)
-	}
-	member := false
-	for _, p := range cfg.Group {
-		if p == cfg.ID {
-			member = true
-			break
-		}
-	}
-	if !member {
-		return nil, fmt.Errorf("core: server %v not in its own group", cfg.ID)
-	}
-	if cfg.Node == nil || cfg.Machine == nil || cfg.Detector == nil {
-		return nil, fmt.Errorf("core: Node, Machine and Detector are required")
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = DefaultTickInterval
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = NopTracer()
-	}
-	if (cfg.AutoTune || cfg.Pipeline) && cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("core: AutoTune and Pipeline require the batching layer (BatchWindow >= 0)")
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = DefaultPipelineDepth
-	}
-	var opts transport.BatcherOptions
-	var tuner *tune.Controller
-	if cfg.AutoTune {
-		tuner = tune.New(tune.Config{})
-		opts.Tuner = tuner
-		if cfg.MaxBatch > 0 {
-			opts.MaxBatch = cfg.MaxBatch
-		} else {
-			opts.MaxBatch = DefaultMaxBatch
-		}
-	}
+func NewServer(cfg backend.ReplicaConfig) (*Server, error) {
 	s := &Server{
-		cfg:           cfg,
 		n:             len(cfg.Group),
-		tuner:         tuner,
 		payloads:      make(map[proto.RequestID]proto.Request),
-		aDelivered:    make(map[proto.RequestID]struct{}),
 		oSet:          make(map[proto.RequestID]struct{}),
-		out:           transport.NewBatcherWith(cfg.Node, cfg.GroupID, opts),
-		encBuf:        make([]byte, 0, 256),
-		hbFrame:       proto.MarshalHeartbeat(cfg.GroupID),
 		phase2Sent:    make(map[uint64]struct{}),
 		phase2Started: make(map[uint64]struct{}),
 		pendingPhase2: make(map[uint64]struct{}),
 		seqOrderBuf:   make(map[uint64][]proto.SeqOrder),
 		cons:          make(map[uint64]*consensus.Instance),
 		decisions:     make(map[uint64]consensus.Decision),
-		tracer:        cfg.Tracer,
 	}
-	if r, ok := cfg.Machine.(app.Reader); ok {
-		s.reader = r
+	// OAR journals: optimistic deliveries are revocable, so what reaches the
+	// WAL is the conservative order, one batch per closed epoch. A recovering
+	// replica defers everything Figure 6 reacts to.
+	err := s.Init(cfg, s, backend.Spec{
+		Journal: true,
+		Defer: []proto.Kind{proto.KindRMcast, proto.KindSeqOrder,
+			proto.KindEstimate, proto.KindPropose, proto.KindAck, proto.KindDecide},
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.rm = rmcast.New(rmcast.Config{
 		Self:    cfg.ID,
 		Group:   cfg.Group,
 		GroupID: cfg.GroupID,
-		Send:    s.send,
+		Send:    s.Send,
 		Mode:    cfg.RelayMode,
 		// On the batching path every send is copied into the round's
 		// envelope buffers immediately, so the relay hot path may encode
 		// into a reusable scratch buffer.
-		SendCopies: s.batching(),
+		SendCopies: s.Batching(),
 		// Each incarnation multicasts from a disjoint sequence range, so
 		// peers' (origin, seq) dedup state from before a crash cannot
 		// swallow the restarted replica's multicasts.
 		FirstSeq: cfg.Incarnation << 32,
 	})
-	if err := s.initDurability(); err != nil {
-		return nil, err
-	}
 	return s, nil
-}
-
-// Stats returns a snapshot of the protocol counters. Safe to call
-// concurrently with Run.
-func (s *Server) Stats() ServerStats {
-	bs := s.out.Stats()
-	return ServerStats{
-		OptDelivered:   s.statOpt.Load(),
-		OptUndelivered: s.statUndo.Load(),
-		ADelivered:     s.statA.Load(),
-		Epochs:         s.statEpochs.Load(),
-		SeqOrdersSent:  s.statOrders.Load(),
-		ForeignDropped: s.statForeign.Load(),
-		ReadsServed:          s.statReads.Load(),
-		ReadFallbacks:        s.statReadFalls.Load(),
-		Recoveries:           s.statRecoveries.Load(),
-		CatchupServed:        s.statCatchup.Load(),
-		RecoveryRefusedReads: s.statReadRefused.Load(),
-		BatchFrames:          bs.Frames,
-		BatchedMsgs:    bs.Msgs,
-		BatchWindow:    bs.Window,
-	}
-}
-
-// Run executes the replica event loop until ctx is cancelled or the
-// transport closes (e.g. the process is crashed by fault injection).
-//
-// Each round handles one inbound message, then opportunistically drains the
-// backlog that has already arrived before running the deferred ordering
-// flush. Under load this is what forms ordering batches: the sequencer
-// coalesces every request of the round into one SeqOrder instead of one per
-// request, with zero added latency when the inbox is empty.
-func (s *Server) Run(ctx context.Context) error {
-	if s.cfg.Pipeline {
-		return s.runPipelined(ctx)
-	}
-	ticker := time.NewTicker(s.cfg.TickInterval)
-	defer ticker.Stop()
-	// Ship anything a held window still buffers when the loop exits.
-	defer s.out.Close()
-	inbox := s.cfg.Node.Recv()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case m, ok := <-inbox:
-			if !ok {
-				return nil
-			}
-			now := time.Now()
-			// Each message's pooled frame is recycled as soon as it is
-			// handled: every retention point in the handlers clones what it
-			// keeps (copy-on-retain), so nothing aliases the frame afterwards.
-			s.handleMessage(m, now)
-			m.Release()
-			// Round formation (transport.DrainLinger): absorb the backlog —
-			// with a short scheduler-yield linger — so the ordering batch
-			// and every coalesced outbound frame cover the whole round.
-			// Skipped entirely when the batching layer is off.
-			spins := 0
-			if s.batching() {
-				spins = serverFlushSpins
-			}
-			if _, open := transport.DrainLinger(inbox, spins, maxDrain-1, func(m transport.Message) {
-				s.handleMessage(m, now)
-				m.Release()
-			}); !open {
-				return nil
-			}
-			s.flushOrder(time.Now())
-			s.flushSends()
-			s.publishFootprint()
-		case now := <-ticker.C:
-			s.tick(now)
-			s.flushSends()
-			s.publishFootprint()
-		}
-	}
 }
 
 // sequencer returns s, the sequencer of the current epoch: the rotating
 // coordinator s = k mod |Π| (Section 5.3's rotation, since k increments
 // exactly once per phase 2).
 func (s *Server) sequencer() proto.NodeID {
-	return s.cfg.Group[int(s.epoch%uint64(s.n))] //nolint:gosec // n ≤ 64
+	return s.Cfg.Group[int(s.Epoch%uint64(s.n))] //nolint:gosec // n ≤ 64
 }
 
-// batching reports whether the message-batching layer is enabled.
-func (s *Server) batching() bool { return s.cfg.BatchWindow >= 0 }
-
-func (s *Server) send(to proto.NodeID, payload []byte) {
-	if s.pipe != nil {
-		// Pipelined: the batcher belongs to the sender stage. Copy the
-		// payload into a pooled frame and hand it down the ring.
-		f := transport.GetFrame()
-		f.Buf = append(f.Buf, payload...)
-		s.pipe.sendFrame(to, f)
-		return
-	}
-	if !s.batching() {
-		// Send errors mean the network or this node is gone; the event loop
-		// will observe the closed inbox and stop.
-		_ = s.cfg.Node.Send(to, payload)
-		return
-	}
-	s.out.Add(to, payload)
-}
-
-// sendReply encodes and sends a reply. On the batching path the reply is
-// encoded into the reusable scratch buffer and copied straight into the
-// destination's envelope buffer — no per-reply allocation. On the pipelined
-// path it is encoded straight into a pooled frame for the sender stage, so
-// reply marshalling happens off the protocol goroutine's critical data but
-// still on its thread; the expensive part — envelope assembly and the
-// transport write — happens downstream.
-func (s *Server) sendReply(to proto.NodeID, reply proto.Reply) {
-	if s.pipe != nil {
-		f := transport.GetFrame()
-		f.Buf = proto.AppendReply(f.Buf, reply)
-		s.pipe.sendFrame(to, f)
-		return
-	}
-	if !s.batching() {
-		_ = s.cfg.Node.Send(to, proto.MarshalReply(reply))
-		return
-	}
-	s.encBuf = proto.AppendReply(s.encBuf[:0], reply)
-	s.out.Add(to, s.encBuf)
-}
-
-// flushSends ships every send the current round buffered.
-func (s *Server) flushSends() {
-	s.out.Flush()
-}
-
-func (s *Server) sendToPeers(payload []byte) {
-	for _, p := range s.cfg.Group {
-		if p != s.cfg.ID {
-			s.send(p, payload)
-		}
-	}
-}
-
-// handleMessage dispatches one inbound transport message. Messages tagged
-// with a foreign ordering group are dropped before any body decode: each
-// group's protocol state machine only ever sees its own traffic.
-func (s *Server) handleMessage(m transport.Message, now time.Time) {
-	kind, group, body, err := proto.Unmarshal(m.Payload)
-	if err != nil {
-		return // garbage on the wire; drop
-	}
-	if group != s.cfg.GroupID {
-		s.statForeign.Add(1)
-		return
-	}
-	s.dispatch(m.From, kind, body, now)
-}
-
-// dispatch routes one already-envelope-decoded message to its handler. The
-// pipelined loop's decode stage performs the envelope parse (and the
-// garbage/foreign drops) off the protocol goroutine and enters here.
-func (s *Server) dispatch(from proto.NodeID, kind proto.Kind, body []byte, now time.Time) {
-	if s.recovering {
-		s.dispatchRecovering(from, kind, body, now)
-		return
-	}
+// Handle implements backend.Protocol: Figure 6 reacts to R-multicasts (Task
+// 0 and the start of Task 2), the sequencer's orderings (Task 1b) and the
+// consensus traffic of phase 2.
+func (s *Server) Handle(from proto.NodeID, kind proto.Kind, body []byte) {
 	switch kind {
-	case proto.KindHeartbeat:
-		s.cfg.Detector.Observe(from, now)
 	case proto.KindRMcast:
 		inner, deliver, err := s.rm.OnMessage(body)
 		if err != nil || !deliver {
 			return
 		}
 		s.handleRDelivery(inner)
-	case proto.KindRead:
-		s.handleRead(body)
 	case proto.KindSeqOrder:
 		// Decode into the reusable scratch order: zero allocations, with
 		// the request commands aliasing the inbound frame. handleSeqOrder
@@ -579,19 +159,6 @@ func (s *Server) dispatch(from proto.NodeID, kind proto.Kind, body []byte, now t
 		s.handleSeqOrder(s.orderScratch)
 	case proto.KindEstimate, proto.KindPropose, proto.KindAck, proto.KindDecide:
 		s.handleConsensus(from, kind, body)
-	case proto.KindCatchupReq:
-		s.handleCatchupReq(from, body)
-	case proto.KindCatchupResp:
-		// A response to a recovery that already completed; drop.
-	case proto.KindBatch:
-		batch, err := proto.UnmarshalBatch(body)
-		if err != nil {
-			return // corrupt envelope; drop
-		}
-		// UnmarshalBatch rejects nested batches, so this recursion is flat.
-		for _, inner := range batch.Msgs {
-			s.handleMessage(transport.Message{From: from, Payload: inner}, now)
-		}
 	default:
 		// Replies and baseline traffic are not for servers; drop.
 	}
@@ -604,8 +171,8 @@ func (s *Server) handleRDelivery(inner []byte) {
 	if err != nil {
 		return
 	}
-	if group != s.cfg.GroupID {
-		s.statForeign.Add(1)
+	if group != s.Cfg.GroupID {
+		s.Count.ForeignDropped.Add(1)
 		return // misrouted into our group's R-multicast stream
 	}
 	switch kind {
@@ -614,14 +181,7 @@ func (s *Server) handleRDelivery(inner []byte) {
 		if err != nil {
 			return
 		}
-		// Ordering is deferred to the event loop's flushOrder, which runs
-		// after the inbox backlog is drained — the low-latency path when the
-		// replica is idle, and the batch-forming path when it is not. With
-		// batching disabled, order immediately as the original code did.
-		s.bufferRequest(req)
-		if !s.batching() {
-			s.maybeOrder()
-		}
+		s.Submit(req)
 	case proto.KindPhaseII:
 		p2, err := proto.UnmarshalPhaseII(body)
 		if err != nil {
@@ -631,42 +191,14 @@ func (s *Server) handleRDelivery(inner []byte) {
 	}
 }
 
-// handleRead serves a read-only request without touching the ordering
-// pipeline: the machine's Reader answers from the current optimistic prefix
-// and the reply is tagged with (epoch, pos, own weight). The client adopts
-// such a reply only once a majority of the group has answered at a
-// compatible prefix — by Maj-validity of the epoch-closing consensus, a
-// majority-endorsed prefix can never be rolled back, so the adopted read is
-// consistent with the definitive order. Nothing is buffered or retained:
-// reads cost zero ordering messages and zero payload retention.
-//
-// Machines without a Reader — and well-formed writes or malformed commands
-// mislabelled as reads — fall back to the ordered path: the request is
-// buffered like an R-delivered write and every replica eventually replies
-// from its single delivery position, which satisfies the client's read rule
-// at that position.
-func (s *Server) handleRead(body []byte) {
-	req, err := proto.UnmarshalRead(body)
-	if err != nil {
-		return
-	}
-	if s.reader != nil {
-		if result, ok := s.reader.Query(req.Cmd); ok {
-			s.statReads.Add(1)
-			s.sendReply(req.ID.Client, proto.Reply{
-				Req:    req.ID,
-				From:   s.cfg.ID,
-				Epoch:  s.epoch,
-				Weight: proto.WeightOf(s.cfg.ID),
-				Pos:    s.pos,
-				Result: result,
-			})
-			return
-		}
-	}
-	s.statReadFalls.Add(1)
+// Submit implements backend.Protocol: Task 0 for a client request, or for a
+// read the fast path could not answer. Ordering is deferred to EndRound,
+// which runs after the inbox backlog is drained — the low-latency path when
+// the replica is idle, and the batch-forming path when it is not. With
+// batching disabled, order immediately as the original code did.
+func (s *Server) Submit(req proto.Request) {
 	s.bufferRequest(req)
-	if !s.batching() {
+	if !s.Batching() {
 		s.maybeOrder()
 	}
 }
@@ -680,7 +212,7 @@ func (s *Server) handleRead(body []byte) {
 // inbound frame). Duplicates — every eager-relay copy after the first —
 // return before the clone, so deduplication costs no allocation.
 func (s *Server) bufferRequest(req proto.Request) {
-	if _, done := s.aDelivered[req.ID]; done {
+	if _, done := s.Delivered[req.ID]; done {
 		return
 	}
 	if _, known := s.payloads[req.ID]; known {
@@ -688,7 +220,7 @@ func (s *Server) bufferRequest(req proto.Request) {
 	}
 	s.payloads[req.ID] = req.Clone()
 	s.rOrder = append(s.rOrder, req.ID)
-	if s.cfg.BatchWindow > 0 && s.pending.IsEmpty() {
+	if s.Cfg.BatchWindow > 0 && s.pending.IsEmpty() {
 		s.firstPendingAt = time.Now() // only the windowed mode reads this
 	}
 	s.pending = append(s.pending, req.ID)
@@ -706,25 +238,26 @@ func (s *Server) notDelivered() mseq.Seq[proto.RequestID] {
 
 // maxBatch returns the effective per-SeqOrder request cap.
 func (s *Server) maxBatch() int {
-	if s.cfg.MaxBatch > 0 {
-		return s.cfg.MaxBatch
+	if s.Cfg.MaxBatch > 0 {
+		return s.Cfg.MaxBatch
 	}
 	return DefaultMaxBatch
 }
 
-// flushOrder decides whether Task 1a runs now. With no BatchWindow it orders
-// whatever the current event-loop round accumulated; with a window it holds
-// small batches until the oldest pending request has waited long enough.
-func (s *Server) flushOrder(now time.Time) {
-	if !s.orderDirty || s.inPhase2 || s.sequencer() != s.cfg.ID {
+// EndRound implements backend.Protocol: it decides whether Task 1a runs now.
+// With no BatchWindow it orders whatever the current event-loop round
+// accumulated; with a window it holds small batches until the oldest pending
+// request has waited long enough.
+func (s *Server) EndRound(now time.Time) {
+	if !s.orderDirty || s.inPhase2 || s.sequencer() != s.Cfg.ID {
 		return
 	}
 	if s.pending.IsEmpty() {
 		s.orderDirty = false
 		return
 	}
-	if s.cfg.BatchWindow > 0 && s.pending.Len() < s.maxBatch() &&
-		now.Sub(s.firstPendingAt) < s.cfg.BatchWindow {
+	if s.Cfg.BatchWindow > 0 && s.pending.Len() < s.maxBatch() &&
+		now.Sub(s.firstPendingAt) < s.Cfg.BatchWindow {
 		return // keep accumulating; a later message or tick flushes
 	}
 	s.orderDirty = false
@@ -741,27 +274,21 @@ func (s *Server) maybeOrder() {
 	if s.observing {
 		return // no ordering in the join epoch; see handleSeqOrder
 	}
-	for !s.inPhase2 && s.sequencer() == s.cfg.ID && !s.pending.IsEmpty() {
+	for !s.inPhase2 && s.sequencer() == s.Cfg.ID && !s.pending.IsEmpty() {
 		chunk := s.pending
 		if limit := s.maxBatch(); len(chunk) > limit {
 			chunk = chunk[:limit]
 		}
 		// Materialize into the reusable scratch slice (the payload bodies
-		// are owned by the payloads map) and, on the batching path, encode
-		// into the reusable scratch buffer — the steady-state ordering path
+		// are owned by the payloads map); SendOrder encodes into the
+		// runtime's scratch buffer — the steady-state ordering path
 		// allocates nothing.
 		s.reqScratch = s.reqScratch[:0]
 		for _, id := range chunk {
 			s.reqScratch = append(s.reqScratch, s.payloads[id])
 		}
-		order := proto.SeqOrder{Epoch: s.epoch, Reqs: s.reqScratch}
-		if s.batching() {
-			s.encBuf = proto.AppendSeqOrder(s.encBuf[:0], s.cfg.GroupID, order)
-			s.sendToPeers(s.encBuf)
-		} else {
-			s.sendToPeers(proto.MarshalSeqOrder(s.cfg.GroupID, order))
-		}
-		s.statOrders.Add(1)
+		order := proto.SeqOrder{Epoch: s.Epoch, Reqs: s.reqScratch}
+		s.SendOrder(order)
 		s.optDeliverBatch(order) // removes the chunk from pending
 	}
 }
@@ -777,9 +304,9 @@ func (s *Server) materialize(ids mseq.Seq[proto.RequestID]) []proto.Request {
 // handleSeqOrder is the receiving half of Task 1b.
 func (s *Server) handleSeqOrder(order proto.SeqOrder) {
 	switch {
-	case order.Epoch < s.epoch:
+	case order.Epoch < s.Epoch:
 		return // stale epoch
-	case order.Epoch > s.epoch:
+	case order.Epoch > s.Epoch:
 		// We lag behind; keep the payloads (Task 0 piggyback) and buffer the
 		// ordering until our phase 2s catch us up. The buffered order
 		// outlives the inbound frame (order may be the decode scratch), so
@@ -817,14 +344,14 @@ func (s *Server) handleSeqOrder(order proto.SeqOrder) {
 func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 	seq := s.sequencer()
 	var weight proto.Weight
-	if s.cfg.ID == seq {
+	if s.Cfg.ID == seq {
 		weight = proto.WeightOf(seq)
 	} else {
-		weight = proto.WeightOf(s.cfg.ID, seq)
+		weight = proto.WeightOf(s.Cfg.ID, seq)
 	}
 	var delivered mseq.Seq[proto.RequestID]
 	for _, req := range order.Reqs {
-		if _, done := s.aDelivered[req.ID]; done {
+		if _, done := s.Delivered[req.ID]; done {
 			continue
 		}
 		if _, done := s.oSet[req.ID]; done {
@@ -834,20 +361,20 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 		// request here before its R-multicast copy arrives (dedup in Task 0).
 		s.bufferRequest(req)
 
-		result, undo := s.cfg.Machine.Apply(req.Cmd)
-		s.pos++
+		result, undo := s.Cfg.Machine.Apply(req.Cmd)
+		s.Pos++
 		s.oDelivered = append(s.oDelivered, req.ID)
 		s.oSet[req.ID] = struct{}{}
 		s.undoStack = append(s.undoStack, undo)
 		delivered = append(delivered, req.ID)
-		s.statOpt.Add(1)
-		s.tracer.OptDeliver(s.cfg.ID, s.epoch, req.ID, s.pos, result)
-		s.sendReply(req.ID.Client, proto.Reply{
+		s.Count.OptDelivered.Add(1)
+		s.Cfg.Tracer.OptDeliver(s.Cfg.ID, s.Epoch, req.ID, s.Pos, result)
+		s.SendReply(req.ID.Client, proto.Reply{
 			Req:    req.ID,
-			From:   s.cfg.ID,
-			Epoch:  s.epoch,
+			From:   s.Cfg.ID,
+			Epoch:  s.Epoch,
 			Weight: weight,
-			Pos:    s.pos,
+			Pos:    s.Pos,
 			Result: result,
 		})
 	}
@@ -864,8 +391,8 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 
 	// Garbage collection (Remark, Section 5.3): the sequencer periodically
 	// forces phase 2 to truncate O_delivered.
-	if s.cfg.EpochRequestLimit > 0 && s.cfg.ID == seq && !s.inPhase2 &&
-		s.oDelivered.Len() >= s.cfg.EpochRequestLimit {
+	if s.Cfg.EpochRequestLimit > 0 && s.Cfg.ID == seq && !s.inPhase2 &&
+		s.oDelivered.Len() >= s.Cfg.EpochRequestLimit {
 		s.broadcastPhaseII()
 	}
 }
@@ -873,11 +400,11 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 // broadcastPhaseII is the sending half of Task 1c (also used by the GC
 // path): R-broadcast (k, PhaseII) to all.
 func (s *Server) broadcastPhaseII() {
-	if _, sent := s.phase2Sent[s.epoch]; sent {
+	if _, sent := s.phase2Sent[s.Epoch]; sent {
 		return
 	}
-	s.phase2Sent[s.epoch] = struct{}{}
-	inner := proto.MarshalPhaseII(s.cfg.GroupID, proto.PhaseII{Epoch: s.epoch})
+	s.phase2Sent[s.Epoch] = struct{}{}
+	inner := proto.MarshalPhaseII(s.Cfg.GroupID, proto.PhaseII{Epoch: s.Epoch})
 	if local, ok := s.rm.Multicast(inner); ok {
 		s.handleRDelivery(local)
 	}
@@ -885,10 +412,10 @@ func (s *Server) broadcastPhaseII() {
 
 // handlePhaseII is the start of Task 2 for epoch k.
 func (s *Server) handlePhaseII(k uint64) {
-	if k < s.epoch {
+	if k < s.Epoch {
 		return
 	}
-	if k > s.epoch {
+	if k > s.Epoch {
 		s.pendingPhase2[k] = struct{}{}
 		return
 	}
@@ -899,7 +426,7 @@ func (s *Server) handlePhaseII(k uint64) {
 	s.inPhase2 = true
 
 	// Lazy relay: agreement on buffered R-multicasts matters exactly now.
-	if s.cfg.RelayMode == rmcast.Lazy {
+	if s.Cfg.RelayMode == rmcast.Lazy {
 		s.rm.RelayAll()
 	}
 
@@ -922,12 +449,12 @@ func (s *Server) instance(k uint64) *consensus.Instance {
 		return inst
 	}
 	inst := consensus.NewInstance(consensus.Config{
-		Self:     s.cfg.ID,
-		Group:    s.cfg.Group,
-		GroupID:  s.cfg.GroupID,
+		Self:     s.Cfg.ID,
+		Group:    s.Cfg.Group,
+		GroupID:  s.Cfg.GroupID,
 		Instance: k,
-		Send:     s.send,
-		Detector: s.cfg.Detector,
+		Send:     s.Send,
+		Detector: s.Cfg.Detector,
 		OnDecide: func(d consensus.Decision) { s.onDecide(k, d) },
 	})
 	s.cons[k] = inst
@@ -936,7 +463,7 @@ func (s *Server) instance(k uint64) *consensus.Instance {
 
 func (s *Server) handleConsensus(from proto.NodeID, kind proto.Kind, body []byte) {
 	k, err := consensus.InstanceOf(body)
-	if err != nil || k < s.epoch {
+	if err != nil || k < s.Epoch {
 		return
 	}
 	inst := s.instance(k)
@@ -947,7 +474,7 @@ func (s *Server) handleConsensus(from proto.NodeID, kind proto.Kind, body []byte
 // epoch's phase 2, apply immediately; otherwise remember the decision until
 // we get there.
 func (s *Server) onDecide(k uint64, d consensus.Decision) {
-	if k == s.epoch && s.inPhase2 {
+	if k == s.Epoch && s.inPhase2 {
 		s.applyDecision(k, d)
 		return
 	}
@@ -961,7 +488,7 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	if err != nil {
 		// A malformed decision would mean a broken consensus/sequencer
 		// implementation; halting this replica is the only safe response.
-		panic(fmt.Sprintf("oar server %v epoch %d: %v", s.cfg.ID, k, err))
+		panic(fmt.Sprintf("oar server %v epoch %d: %v", s.Cfg.ID, k, err))
 	}
 
 	// Lines 25–26: Opt-undeliver Bad, last delivered first (footnote 2).
@@ -970,15 +497,15 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 		top := s.oDelivered.Len() - 1
 		if top < 0 || s.oDelivered[top] != res.Bad[i] {
 			panic(fmt.Sprintf("oar server %v epoch %d: Bad %v is not the O_delivered suffix %v",
-				s.cfg.ID, k, res.Bad, s.oDelivered))
+				s.Cfg.ID, k, res.Bad, s.oDelivered))
 		}
 		s.undoStack[top]()
 		s.undoStack = s.undoStack[:top]
 		delete(s.oSet, s.oDelivered[top])
 		s.oDelivered = s.oDelivered[:top]
-		s.pos--
-		s.statUndo.Add(1)
-		s.tracer.OptUndeliver(s.cfg.ID, k, res.Bad[i])
+		s.Pos--
+		s.Count.OptUndelivered.Add(1)
+		s.Cfg.Tracer.OptUndeliver(s.Cfg.ID, k, res.Bad[i])
 	}
 
 	// Lines 27–29: A-deliver New, replying with the conservative weight Π.
@@ -986,42 +513,42 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	full := proto.FullWeight(s.n)
 	for _, req := range res.New {
 		s.bufferRequest(req) // consensus may carry payloads we never received
-		result, _ := s.cfg.Machine.Apply(req.Cmd)
-		s.pos++
-		s.statA.Add(1)
-		s.tracer.ADeliver(s.cfg.ID, k, req.ID, s.pos, result)
-		s.sendReply(req.ID.Client, proto.Reply{
+		result, _ := s.Cfg.Machine.Apply(req.Cmd)
+		s.Pos++
+		s.Count.ADelivered.Add(1)
+		s.Cfg.Tracer.ADeliver(s.Cfg.ID, k, req.ID, s.Pos, result)
+		s.SendReply(req.ID.Client, proto.Reply{
 			Req:    req.ID,
-			From:   s.cfg.ID,
+			From:   s.Cfg.ID,
 			Epoch:  k,
 			Weight: full,
-			Pos:    s.pos,
+			Pos:    s.Pos,
 			Result: result,
 		})
 	}
 
-	// Lines 30–32: commit the epoch.
-	for _, id := range s.oDelivered { // O_delivered ⊖ Bad (Bad already removed)
-		s.aDelivered[id] = struct{}{}
+	// Lines 30–32: commit the epoch — the kept optimistic prefix
+	// (O_delivered ⊖ Bad, Bad already removed) followed by New — to the
+	// at-most-once filter, the catch-up tail and the WAL, while the payloads
+	// of the kept prefix are still in the bookkeeping (the GC below prunes
+	// them).
+	for _, id := range s.oDelivered {
+		s.Commit(s.payloads[id])
 	}
 	for _, req := range res.New {
-		s.aDelivered[req.ID] = struct{}{}
+		s.Commit(req)
 	}
-	// Persist the epoch's definitive batch (in-memory catch-up tail, and the
-	// WAL when configured) while the payloads of the kept optimistic prefix
-	// are still in the bookkeeping — the GC below prunes them.
-	s.persistEpoch(k, res.New)
-	s.tracer.EpochClose(s.cfg.ID, k, s.ownInput, res)
+	s.Cfg.Tracer.EpochClose(s.Cfg.ID, k, s.ownInput, res)
 
 	// Garbage-collect the per-request bookkeeping of everything that just
 	// became definitive: the payloads and rOrder slots of A-delivered
 	// requests are never needed again (re-arrivals are rejected by the
-	// aDelivered guard in bufferRequest). What survives the compaction —
+	// Delivered guard in bufferRequest). What survives the compaction —
 	// exactly the live, unordered requests — is the next epoch's pending
 	// sequence.
 	live := s.rOrder[:0]
 	for _, id := range s.rOrder {
-		if _, done := s.aDelivered[id]; done {
+		if _, done := s.Delivered[id]; done {
 			delete(s.payloads, id)
 			continue
 		}
@@ -1037,12 +564,15 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	s.undoStack = nil
 	s.ownInput = cnsvorder.Input{}
 	s.inPhase2 = false
-	s.epoch = k + 1
-	s.statEpochs.Add(1)
-	if s.observing && s.epoch > s.observeEpoch {
+	s.Epoch = k + 1
+	s.Count.Epochs.Add(1)
+	if s.observing && s.Epoch > s.observeEpoch {
 		s.observing = false // the join epoch closed; back in full standing
 	}
-	s.maybeSnapshot()
+	// The undo-set is empty, so the machine is exactly the A-delivered prefix
+	// of length Pos: journal the epoch marker, sync — still inside this
+	// round, so before any full-weight reply ships — and maybe snapshot.
+	s.Boundary()
 
 	// Drop per-epoch bookkeeping we no longer need.
 	delete(s.cons, k)
@@ -1054,65 +584,68 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 
 	// Catch up with the new epoch: buffered orderings, a pending PhaseII,
 	// or — if we are the new sequencer — leftover unordered requests.
-	if orders, ok := s.seqOrderBuf[s.epoch]; ok {
-		delete(s.seqOrderBuf, s.epoch)
+	if orders, ok := s.seqOrderBuf[s.Epoch]; ok {
+		delete(s.seqOrderBuf, s.Epoch)
 		for _, o := range orders {
 			s.handleSeqOrder(o)
 		}
 	}
-	if _, ok := s.pendingPhase2[s.epoch]; ok {
-		delete(s.pendingPhase2, s.epoch)
-		s.handlePhaseII(s.epoch)
+	if _, ok := s.pendingPhase2[s.Epoch]; ok {
+		delete(s.pendingPhase2, s.Epoch)
+		s.handlePhaseII(s.Epoch)
 		return
 	}
 	s.maybeOrder()
 }
 
-// tick drives the periodic duties: heartbeats, Task 1a batching, Task 1c
-// suspicion, and consensus timeouts.
-func (s *Server) tick(now time.Time) {
-	if s.cfg.HeartbeatInterval > 0 && now.Sub(s.lastHeartbeat) >= s.cfg.HeartbeatInterval {
-		s.lastHeartbeat = now
-		// The heartbeat payload is constant per group: one frame, encoded at
-		// start-up, resent every tick (it is immutable, so sharing it with
-		// the transport across ticks and peers is safe).
-		s.sendToPeers(s.hbFrame)
-	}
-
-	if s.recovering {
-		// Re-probe peers for catch-up state until one answers from an epoch
-		// boundary; everything else (ordering, suspicion, consensus) waits.
-		s.catchupTick++
-		if s.catchupTick >= recoveryProbeTicks {
-			s.catchupTick = 0
-			s.sendToPeers(proto.MarshalCatchupReq(s.cfg.GroupID, proto.CatchupReq{HavePos: s.pos}))
-		}
-		return
-	}
-
+// Tick implements backend.Protocol: Task 1a catch-up, Task 1c suspicion, and
+// consensus timeouts.
+func (s *Server) Tick(now time.Time) {
 	if !s.inPhase2 {
 		// Task 1a catch-up (e.g. a BatchWindow that expired with no further
 		// traffic, or requests that arrived during phase 2).
-		s.flushOrder(now)
+		s.EndRound(now)
 		// Task 1c: when p suspects the sequencer, R-broadcast (k, PhaseII).
 		seq := s.sequencer()
-		if seq != s.cfg.ID && s.cfg.Detector.Suspected(seq, now) {
+		if seq != s.Cfg.ID && s.Cfg.Detector.Suspected(seq, now) {
 			s.broadcastPhaseII()
 		}
 	}
 
 	// Drive the active consensus instance (coordinator suspicion).
 	if s.inPhase2 {
-		if inst, ok := s.cons[s.epoch]; ok {
+		if inst, ok := s.cons[s.Epoch]; ok {
 			inst.Tick(now)
 		}
 	}
 }
 
-// Epoch returns the current epoch (k). Intended for tests and tools; it is
-// only safe to read when the server is quiescent or from its own tracer
-// callbacks.
-func (s *Server) Epoch() uint64 { return s.epoch }
+// CanServe implements backend.Protocol. Only a replica between epochs answers
+// a catch-up probe with state: its committed prefix is exactly the definitive
+// boundary, and — crucially — every closing broadcast of its current epoch is
+// still in the future, so the prober cannot adopt an epoch whose PhaseII or
+// Decide it has already missed. (Mid-phase-2 those may predate the prober's
+// restart, and adopting the epoch could strand it waiting for them.)
+func (s *Server) CanServe() bool { return !s.inPhase2 }
+
+// Accept implements backend.Protocol: any peer's boundary state will do —
+// consensus agreed on it.
+func (s *Server) Accept(proto.NodeID, uint64) bool { return true }
+
+// Resume implements backend.Protocol: join the adopted epoch in observe
+// mode, replay the deferred frames — stale epochs drop out, the join epoch's
+// traffic lands in observe mode, and a deferred Decide for the join epoch is
+// stashed until phase 2 starts — then force an epoch boundary: observe mode
+// ends when the join epoch closes, and this guarantees it closes even on an
+// otherwise idle group.
+func (s *Server) Resume(deferred []backend.Deferred) {
+	s.observing = true
+	s.observeEpoch = s.Epoch
+	for _, f := range deferred {
+		s.Handle(f.From, f.Kind, f.Body)
+	}
+	s.broadcastPhaseII()
+}
 
 // Footprint reports the sizes of the replica's per-request bookkeeping
 // structures. Payloads, ROrder and Pending cover only live requests and stay
@@ -1127,24 +660,14 @@ type Footprint struct {
 	ADelivered int // definitive-delivery filter (grows with history)
 }
 
-// publishFootprint snapshots the bookkeeping sizes for concurrent readers.
-// Called from the event loop at the end of every round.
-func (s *Server) publishFootprint() {
-	s.fp.Store(&Footprint{
+// Footprint returns the bookkeeping sizes. It reads the event loop's state
+// unsynchronized: call it only once Run has returned.
+func (s *Server) Footprint() Footprint {
+	return Footprint{
 		Payloads:   len(s.payloads),
 		ROrder:     s.rOrder.Len(),
 		Pending:    s.pending.Len(),
 		ODelivered: s.oDelivered.Len(),
-		ADelivered: len(s.aDelivered),
-	})
-}
-
-// Footprint returns the bookkeeping sizes as of the end of the last
-// event-loop round (at most one round stale). Safe to call concurrently
-// with Run.
-func (s *Server) Footprint() Footprint {
-	if fp := s.fp.Load(); fp != nil {
-		return *fp
+		ADelivered: len(s.Delivered),
 	}
-	return Footprint{} // Run has not completed a round yet
 }

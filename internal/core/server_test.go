@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -49,24 +50,27 @@ func verifyAll(t *testing.T, ck *check.Checker, liveness bool) {
 	}
 }
 
-// fingerprintsConverge polls until all listed replicas report the same
-// machine fingerprint.
+// settle waits until nothing moves any more: the live replicas stand level
+// and every issued request has reached each of them.
+func settle(t *testing.T, c *cluster.Cluster, ck *check.Checker) {
+	t.Helper()
+	if !c.Quiesce(testTimeout) || !cluster.WaitUntil(testTimeout, ck.LivenessSettled) {
+		t.Fatal("cluster did not settle")
+	}
+}
+
+// fingerprintsConverge waits for the cluster to quiesce, then requires all
+// listed replicas — the live ones — to report the same machine fingerprint.
 func fingerprintsConverge(t *testing.T, c *cluster.Cluster, replicas []int) {
 	t.Helper()
-	ok := cluster.WaitUntil(testTimeout, func() bool {
-		ref := c.Machine(0, replicas[0]).Fingerprint()
-		for _, i := range replicas[1:] {
-			if c.Machine(0, i).Fingerprint() != ref {
-				return false
-			}
+	if !c.Quiesce(testTimeout) {
+		t.Fatal("cluster did not quiesce")
+	}
+	ref := c.Machine(0, replicas[0]).Fingerprint()
+	for _, i := range replicas[1:] {
+		if got := c.Machine(0, i).Fingerprint(); got != ref {
+			t.Fatalf("replica states did not converge:\np%d: %q\np%d: %q", replicas[0], ref, i, got)
 		}
-		return true
-	})
-	if !ok {
-		for _, i := range replicas {
-			t.Logf("p%d: %q", i, c.Machine(0, i).Fingerprint())
-		}
-		t.Fatal("replica states did not converge")
 	}
 }
 
@@ -438,13 +442,17 @@ func TestClientContextCancelled(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := core.NewServer(core.ServerConfig{}); err == nil {
+	oar, err := backend.Lookup(core.BackendName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oar.NewReplica(backend.ReplicaConfig{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := core.NewServer(core.ServerConfig{ID: 9, Group: proto.Group(3)}); err == nil {
+	if _, err := oar.NewReplica(backend.ReplicaConfig{ID: 9, Group: proto.Group(3)}); err == nil {
 		t.Error("non-member server accepted")
 	}
-	if _, err := core.NewClient(core.ClientConfig{}); err == nil {
+	if _, err := oar.NewInvoker(backend.InvokerConfig{}); err == nil {
 		t.Error("empty client config accepted")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/cnsvorder"
-	"repro/internal/core"
 	"repro/internal/proto"
 )
 
@@ -49,7 +49,7 @@ func (c *countingTracer) ReadAdopt(proto.NodeID, proto.RequestID, proto.Reply) {
 
 func TestMultiTracerFansOut(t *testing.T) {
 	a, b := newCountingTracer(), newCountingTracer()
-	m := core.MultiTracer(a, nil, b) // nil entries must be skipped
+	m := backend.MultiTracer(a, nil, b) // nil entries must be skipped
 
 	m.Issue(proto.ClientID(0), proto.RequestID{}, nil)
 	m.OptDeliver(0, 0, proto.RequestID{}, 1, nil)
@@ -69,7 +69,7 @@ func TestMultiTracerFansOut(t *testing.T) {
 }
 
 func TestNopTracerIsSafe(t *testing.T) {
-	n := core.NopTracer()
+	n := backend.NopTracer()
 	n.Issue(0, proto.RequestID{}, nil)
 	n.OptDeliver(0, 0, proto.RequestID{}, 0, nil)
 	n.OptUndeliver(0, 0, proto.RequestID{})

@@ -11,9 +11,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// E12AdaptiveBatching measures the self-tuning batch window (AutoTune) and
-// the pipelined replica loop against the static batching knobs, at both ends
-// of the latency/throughput trade-off the controller is supposed to cover:
+// E12AdaptiveBatching measures the self-tuning batch window (AutoTune)
+// against the static batching knobs, at both ends of the latency/throughput
+// trade-off the controller is supposed to cover:
 //
 //   - a saturated pipelined load (the throughput end), where a larger hold
 //     window coalesces more messages per frame, and
@@ -23,9 +23,9 @@ import (
 // Each static window is optimal at one end only; the claim under test is
 // that the closed-loop controller lands within a few percent of the *best*
 // static setting at BOTH ends without being told the workload. The sweep
-// runs at GOMAXPROCS 1 and 4 — the pipelined rows split the replica loop
-// into decode/order/send stages, which can only pay off with cores to run
-// them on. All OAR rows run under the full trace checker.
+// runs at GOMAXPROCS 1 and 4: with real parallelism rounds are shorter and
+// frames less full, which is the regime the controller has to notice. All
+// rows run under the full trace checker.
 func E12AdaptiveBatching(cfg Config) (Result, error) {
 	res := Result{
 		ID:     "E12",
@@ -44,7 +44,6 @@ func E12AdaptiveBatching(cfg Config) (Result, error) {
 		name     string
 		window   time.Duration
 		autoTune bool
-		pipeline bool
 	}
 	modes := []mode{{name: "static/0", window: 0}}
 	if !cfg.Quick {
@@ -53,7 +52,6 @@ func E12AdaptiveBatching(cfg Config) (Result, error) {
 	modes = append(modes,
 		mode{name: "static/1ms", window: time.Millisecond},
 		mode{name: "autotune", autoTune: true},
-		mode{name: "autotune+pipeline", autoTune: true, pipeline: true},
 	)
 	procsSweep := []int{1, 4}
 
@@ -77,7 +75,6 @@ func E12AdaptiveBatching(cfg Config) (Result, error) {
 				Net:         memnet.Options{Seed: 12}, // instant delivery
 				BatchWindow: m.window,
 				AutoTune:    m.autoTune,
-				Pipeline:    m.pipeline,
 			}
 			violations := 0
 
@@ -162,9 +159,8 @@ func E12AdaptiveBatching(cfg Config) (Result, error) {
 			// which land within a few percent on a quiet machine. The
 			// throughput floor only applies when the machine really has
 			// `procs` cores: GOMAXPROCS above NumCPU adds scheduling
-			// overhead without parallelism (worst for the pipelined rows,
-			// whose stages then preempt each other on one core), which is
-			// an artifact of the host, not a controller regression.
+			// overhead without parallelism, which is an artifact of the
+			// host, not a controller regression.
 			if !cfg.Quick {
 				if cl.satRate < 0.7*bestSat && procs <= runtime.NumCPU() {
 					return res, fmt.Errorf("E12 %s (procs=%d): saturated throughput %.0f < 70%% of best static %.0f",

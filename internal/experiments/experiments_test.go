@@ -306,7 +306,7 @@ func TestE12QualitativeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShape(t, r, 2*4) // procs {1,4} x modes {static/0, static/1ms, autotune, autotune+pipeline}
+	checkShape(t, r, 2*3) // procs {1,4} x modes {static/0, static/1ms, autotune}
 	if len(r.Latency) != len(r.Rows) {
 		t.Fatalf("%d latency samples for %d rows", len(r.Latency), len(r.Rows))
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/nemesis"
 )
@@ -23,7 +23,7 @@ import (
 //   - every positive row must be 100% checker-clean — a single violation
 //     fails the experiment instead of printing a hollow table;
 //   - a negative-control row re-enables the stale-read-floor bug behind its
-//     test hook (core.StaleReadFloorBug) and requires the SAME search to
+//     test hook (backend.StaleReadFloorBug) and requires the SAME search to
 //     find a violation and ddmin to shrink it to at most 5 steps — proof
 //     the harness detects what it claims to detect, with the exact class of
 //     bug the read fast path shipped with.
@@ -93,10 +93,10 @@ func E14Nemesis(cfg Config) (Result, error) {
 	}
 
 	// Negative control: the detector must detect.
-	if !core.StaleReadFloorBug.CompareAndSwap(false, true) {
+	if !backend.StaleReadFloorBug.CompareAndSwap(false, true) {
 		return res, fmt.Errorf("E14 control: StaleReadFloorBug already enabled")
 	}
-	defer core.StaleReadFloorBug.Store(false)
+	defer backend.StaleReadFloorBug.Store(false)
 	h := metrics.NewHistogram()
 	found, ran, err := nemesis.Search(nemesis.SearchConfig{
 		Run:    run,

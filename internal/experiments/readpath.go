@@ -25,25 +25,30 @@ import (
 // cell that merely "runs" without exercising the fast path fails instead of
 // printing a hollow number:
 //
-//   - zero ordering frames for reads: definitive deliveries == writes × n,
-//     exactly — no read ever entered the ordered path (a client fallback
-//     re-issues through Invoke and would break the equality);
+//   - zero ordering frames for reads: deliveries == (writes + ReadReissues)
+//     × n, exactly — the only reads that entered the ordered path are the
+//     ones a client counted re-issuing through Invoke, because every
+//     replica had answered and no majority endorsed one prefix (a
+//     first-reply write puts the client's floor ahead of the majority,
+//     which makes that likelier under the baselines);
 //   - every read served fast: ReadsServed == reads × n and ReadFallbacks ==
 //     0 — all n replicas answered every read inline;
 //   - reads are not slower: read p50 ≤ write p50 (reads skip the ordering
-//     hop entirely) — except under fixedseq, whose first-reply write rule
-//     is faster than any majority quorum precisely because it is unsafe
-//     (E1); those cells only bound the gap at 2×;
+//     hop entirely), wherever both medians rest on at least 20 samples —
+//     except under fixedseq, whose first-reply write rule is faster than
+//     any majority quorum precisely because it is unsafe (E1); those cells
+//     only bound the gap at 2×;
 //   - the read-your-writes oracle engaged (RYWChecked > 0) and, for OAR,
 //     the per-group trace checkers report zero violations.
 func E13ReadFastPath(cfg Config) (Result, error) {
 	res := Result{
 		ID:     "E13",
 		Title:  "zero-ordering read fast path: read ratio × distribution × backend × shards (kv, n=3 per group, instant network)",
-		Header: []string{"backend", "dist", "rw", "shards", "req/s", "write p50", "read p50", "read/write", "reads", "fallbacks", "violations"},
+		Header: []string{"backend", "dist", "rw", "shards", "req/s", "write p50", "read p50", "read/write", "reads", "fallbacks", "reissues", "violations"},
 		Notes: []string{
 			"reads are answered inline from the optimistic prefix; adoption needs majority weight at a compatible prefix",
-			"every cell asserts: deliveries == writes × n (no read was ever ordered), ReadFallbacks == 0, read p50 ≤ write p50",
+			"every cell asserts: deliveries == (writes + reissues) × n (no other read was ever ordered), ReadFallbacks == 0, read p50 ≤ write p50",
+			"reissues counts reads a client re-issued as ordered requests after the whole group answered without a majority at one prefix",
 			"fixedseq's write rule is the unsafe first reply (see E1), which a majority read need not beat: its cells only bound the gap at 2×",
 			"the read-your-writes oracle (worker-tagged values) runs in every cell; OAR cells add one trace checker per group",
 		},
@@ -165,28 +170,33 @@ func e13Cell(cfg Config, p cluster.Protocol, dist string, ratio float64, shards,
 	reads, writes := readsIssued.Load(), writesIssued.Load()
 
 	// Let the trailing replica catch up (adoption only waits for a
-	// majority), then hold the counters to exact equality.
-	settled := func() bool {
-		ts := c.TotalStats()
-		return ts.Delivered >= writes*n && ts.ReadsServed >= reads*n
+	// majority) — on the ordered requests, which move its position, and on
+	// the reads, which do not — then hold the counters to exact equality.
+	if !c.Quiesce(invokeTimeout) {
+		return e13Result{}, fmt.Errorf("cluster did not quiesce")
 	}
-	cluster.WaitUntil(invokeTimeout, settled)
+	cluster.WaitUntil(invokeTimeout, func() bool { return c.TotalStats().ReadsServed >= reads*n })
 	ts := c.TotalStats()
 	if ts.ReadFallbacks != 0 {
 		return e13Result{}, fmt.Errorf("%d reads fell back to the ordered path", ts.ReadFallbacks)
 	}
-	if ts.Delivered != writes*n {
-		return e13Result{}, fmt.Errorf("deliveries %d != writes×n %d: a read entered the ordered path", ts.Delivered, writes*n)
+	if ordered := writes + ts.ReadReissues; ts.Delivered != ordered*n {
+		return e13Result{}, fmt.Errorf("deliveries %d != (writes %d + reissues %d)×n: an uncounted read entered the ordered path",
+			ts.Delivered, writes, ts.ReadReissues)
 	}
 	if ts.ReadsServed != reads*n {
 		return e13Result{}, fmt.Errorf("reads served %d != reads×n %d", ts.ReadsServed, reads*n)
 	}
-	// The oracle can only engage when workers re-read keys they wrote; at
-	// extreme read ratios on scaled-down runs a worker may never write at
-	// all, so engagement is only required when every worker plausibly wrote
-	// a few keys. (The workload package's own tests pin engagement
-	// deterministically.)
-	if writes >= 4*uint64(spec.Workers) && rep.RYWChecked == 0 {
+	// The oracle can only engage when a worker re-reads a key it wrote, and
+	// which worker draws which operation depends on scheduling. Engagement is
+	// therefore only required when zero would be implausible: if operations
+	// split evenly over workers and keys (a lower bound under zipfian skew),
+	// the expected number of own-key re-reads is reads × writes / (workers ×
+	// keys), and at 16 the chance of none is about one in ten million.
+	// Scaled-down runs fall below that; the workload package's own tests pin
+	// engagement deterministically.
+	expected := float64(reads) * float64(writes) / float64(spec.Workers*spec.Keys)
+	if expected >= 16 && rep.RYWChecked == 0 {
 		return e13Result{}, fmt.Errorf("read-your-writes oracle never engaged")
 	}
 	// Reads must not lose to the ordered path. For OAR and ctab the write
@@ -201,7 +211,10 @@ func e13Cell(cfg Config, p cluster.Protocol, dist string, ratio float64, shards,
 	if p == cluster.FixedSeq {
 		limit = 2 * writeP50
 	}
-	if rep.ReadLatency.P50 > limit {
+	// A median of a handful of samples is noise (a scaled-down rw=0.99 cell
+	// measures three writes): compare only where both sides have enough.
+	const minSamples = 20
+	if rep.Latency.Count >= minSamples && rep.ReadLatency.Count >= minSamples && rep.ReadLatency.P50 > limit {
 		return e13Result{}, fmt.Errorf("read p50 %v > limit %v (write p50 %v)", rep.ReadLatency.P50, limit, writeP50)
 	}
 	violations := "-"
@@ -241,6 +254,7 @@ func e13Cell(cfg Config, p cluster.Protocol, dist string, ratio float64, shards,
 		fmt.Sprintf("%.2f", float64(rep.ReadLatency.P50)/float64(max64(1, int64(rep.Latency.P50)))),
 		fmt.Sprint(ts.ReadsServed),
 		fmt.Sprint(ts.ReadFallbacks),
+		fmt.Sprint(ts.ReadReissues),
 		violations,
 	}
 	return e13Result{

@@ -6,11 +6,11 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/check"
 	"repro/internal/cluster"
 	"repro/internal/cnsvorder"
 	"repro/internal/consensus"
-	"repro/internal/core"
 	"repro/internal/memnet"
 	"repro/internal/proto"
 )
@@ -46,9 +46,9 @@ func classify(vs []*check.Violation, und int) Outcome {
 // client c2's "push x" reaches everyone; p0 processes both, replies, and
 // crashes with its ordering messages undelivered; the survivors take over;
 // the c1 links heal.
-func RunFigure1b(protocol cluster.Protocol, extra ...core.Tracer) (Outcome, error) {
+func RunFigure1b(protocol cluster.Protocol, extra ...backend.Tracer) (Outcome, error) {
 	ck := check.New(3)
-	tracer := core.MultiTracer(append([]core.Tracer{ck}, extra...)...)
+	tracer := backend.MultiTracer(append([]backend.Tracer{ck}, extra...)...)
 	c, err := cluster.New(cluster.Options{
 		Protocol: protocol, N: 3, Machine: "stack", Tracer: tracer,
 		Net:               memnet.Options{MinDelay: 50 * time.Microsecond, MaxDelay: 150 * time.Microsecond, Seed: 5},
@@ -186,9 +186,9 @@ func E1ExternalInconsistency(cfg Config) (Result, error) {
 
 // RunFigure4 replays the minority-partition scenario of Figure 4 (n=5, see
 // DESIGN.md) against the given protocol and reports the outcome.
-func RunFigure4(protocol cluster.Protocol, extra ...core.Tracer) (Outcome, error) {
+func RunFigure4(protocol cluster.Protocol, extra ...backend.Tracer) (Outcome, error) {
 	ck := check.New(5)
-	tracer := core.MultiTracer(append([]core.Tracer{ck}, extra...)...)
+	tracer := backend.MultiTracer(append([]backend.Tracer{ck}, extra...)...)
 	c, err := cluster.New(cluster.Options{
 		Protocol: protocol, N: 5, FD: cluster.FDOracle, Tracer: tracer,
 		Net: memnet.Options{MinDelay: 50 * time.Microsecond, MaxDelay: 150 * time.Microsecond, Seed: 9},

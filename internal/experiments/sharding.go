@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/backend"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/memnet"
 )
 
@@ -58,7 +58,7 @@ func E9ShardScaling(cfg Config) (Result, error) {
 			Net:         memnet.Options{Seed: 23}, // instant delivery
 			BatchWindow: cfg.BatchWindow,
 			MaxBatch:    cfg.MaxBatch,
-			TracerFor:   func(s int) core.Tracer { return cks[s] },
+			TracerFor:   func(s int) backend.Tracer { return cks[s] },
 		})
 		if err != nil {
 			return res, err

@@ -295,10 +295,10 @@ func (g *gate) resume() {
 
 // executor is the per-run state.
 type executor struct {
-	cfg      Config
-	cl       *cluster.Cluster
-	checkers []*check.Checker
-	rules    []*ruleSet
+	cfg       Config
+	cl        *cluster.Cluster
+	checkers  []*check.Checker
+	rules     []*ruleSet
 	gate      *gate
 	crashed   []map[int]bool // per shard: replica index -> currently crashed
 	restarted []map[int]bool // per shard: replica index -> restarted at least once
@@ -610,9 +610,9 @@ func (e *executor) stabilizeFaults() {
 	}
 }
 
-// settleAndVerify waits for every shard to reach Prop-4 quiescence, then
-// runs the safety suite; with final it adds the liveness verdict and the
-// structural assertion that all live replicas' machines converged.
+// settleAndVerify waits for the cluster to quiesce, then runs the safety
+// suite; with final it adds the liveness verdict and the structural
+// assertion that all live replicas' machines converged.
 func (e *executor) settleAndVerify(final bool) {
 	// Recovery liveness first: a restarted replica that is still up must
 	// complete catch-up. The checker cannot see a stalled recovery — the
@@ -632,8 +632,13 @@ func (e *executor) settleAndVerify(final bool) {
 			}
 		}
 	}
+	// One quiescence wait for everything below: every live replica level
+	// with its group and nothing moving (so no replica still holds an
+	// optimistic prefix its peers have already rolled past), and every issued
+	// request at every correct server.
+	settled := e.cl.Quiesce(e.cfg.SettleTimeout)
 	for s := 0; s < e.cfg.Shards; s++ {
-		if !cluster.WaitUntil(e.cfg.SettleTimeout, e.checkers[s].LivenessSettled) {
+		if !settled || !e.checkers[s].LivenessSettled() {
 			e.record(s, "liveness", fmt.Sprintf("shard did not settle within %v", e.cfg.SettleTimeout))
 		}
 	}
@@ -645,33 +650,18 @@ func (e *executor) settleAndVerify(final bool) {
 		e.recordChecker(s, e.checkers[s].VerifyLiveness())
 		// Structural convergence: the live machines of a settled shard hold
 		// prefix-consistent logs with identical request sets, so their
-		// fingerprints must meet. Polled because the tracer event precedes
-		// the sender's next instant by a hair.
-		live := -1
+		// fingerprints must meet.
+		var prints []string
 		for i := 0; i < e.cfg.N; i++ {
 			if !e.crashed[s][i] {
-				live = i
+				prints = append(prints, e.cl.Machine(s, i).Fingerprint())
+			}
+		}
+		for _, got := range prints {
+			if got != prints[0] {
+				e.record(s, "structural", "live replicas' machine fingerprints did not converge")
 				break
 			}
-		}
-		if live < 0 {
-			continue
-		}
-		s := s
-		converged := cluster.WaitUntil(e.cfg.SettleTimeout, func() bool {
-			want := e.cl.Machine(s, live).Fingerprint()
-			for i := live + 1; i < e.cfg.N; i++ {
-				if e.crashed[s][i] {
-					continue
-				}
-				if e.cl.Machine(s, i).Fingerprint() != want {
-					return false
-				}
-			}
-			return true
-		})
-		if !converged {
-			e.record(s, "structural", "live replicas' machine fingerprints never converged")
 		}
 	}
 }

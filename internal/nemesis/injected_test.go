@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/backend"
 )
 
 // TestSearchFindsInjectedReadFloorBug is the end-to-end acceptance test for
@@ -18,10 +18,10 @@ import (
 // workers interleaving writes and fast-path reads on ONE shared client, so
 // a write adoption regularly lands between a read's issue and its adoption.
 func TestSearchFindsInjectedReadFloorBug(t *testing.T) {
-	if !core.StaleReadFloorBug.CompareAndSwap(false, true) {
+	if !backend.StaleReadFloorBug.CompareAndSwap(false, true) {
 		t.Fatal("StaleReadFloorBug already enabled")
 	}
-	defer core.StaleReadFloorBug.Store(false)
+	defer backend.StaleReadFloorBug.Store(false)
 
 	cfg := Config{Requests: 96, Workers: 4, Clients: 1, ReadRatio: 0.65, Seed: 5}
 	found, ran, err := Search(SearchConfig{Run: cfg, Gen: GenSpec{Motifs: 2}, Budget: 200})
@@ -62,7 +62,7 @@ func TestSearchFindsInjectedReadFloorBug(t *testing.T) {
 
 	// Sanity: with the hook off the very same schedule is clean — the finding
 	// is the injected bug, not harness noise.
-	core.StaleReadFloorBug.Store(false)
+	backend.StaleReadFloorBug.Store(false)
 	for i := 0; i < 3; i++ {
 		res, err := Run(cfg, replayed)
 		if err != nil {

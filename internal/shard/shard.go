@@ -19,7 +19,7 @@
 //   - Router maps a key to a proto.GroupID by FNV-1a hash, giving a
 //     deterministic, uniform assignment that every client computes
 //     independently — no directory service.
-//   - Client owns one per-group backend (a core.Client in production) and
+//   - Client owns one per-group backend (a backend.Client in production) and
 //     fans each Invoke out to the owning group.
 package shard
 
@@ -126,7 +126,7 @@ func (r *Router) Route(cmd []byte) proto.GroupID {
 }
 
 // Invoker is the per-group client surface the shard client fans out to
-// (satisfied by *core.Client and by the cluster package's protocol clients).
+// (satisfied by *backend.Client and by the cluster package's measured clients).
 type Invoker interface {
 	Invoke(ctx context.Context, cmd []byte) (proto.Reply, error)
 	Stop()
@@ -134,7 +134,7 @@ type Invoker interface {
 
 // Client is a sharded client: one backend per ordering group, each Invoke
 // routed to the group owning the command's key. It is safe for concurrent
-// use iff its backends are (core.Client is).
+// use iff its backends are (backend.Client is).
 type Client struct {
 	router *Router
 	groups []Invoker

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/proto"
@@ -181,7 +182,7 @@ func TestOARClusterOverTCP(t *testing.T) {
 	start := time.Now()
 	for i := range nodes {
 		machine, _ := app.New("recorder")
-		srv, err := core.NewServer(core.ServerConfig{
+		srv, err := core.NewServer(backend.ReplicaConfig{
 			ID:       group[i],
 			Group:    group,
 			Node:     nodes[i],
@@ -194,7 +195,11 @@ func TestOARClusterOverTCP(t *testing.T) {
 		go func() { _ = srv.Run(ctx) }()
 	}
 
-	cli, err := core.NewClient(core.ClientConfig{
+	oar, err := backend.Lookup(core.BackendName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := oar.NewInvoker(backend.InvokerConfig{
 		ID:    proto.ClientID(0),
 		Group: group,
 		Node:  cliNode,
@@ -202,7 +207,6 @@ func TestOARClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.Start()
 	defer func() {
 		cancel()
 		cli.Stop()

@@ -23,8 +23,8 @@ func (sinkFrameNode) SendFrame(_ proto.NodeID, f *Frame) error {
 
 // BenchmarkHotPathAllocs asserts the transport-layer hot paths allocate
 // nothing in steady state — the batcher's Add/Flush round (plain and with
-// the AutoTune controller observing every ship), the SPSC ring hand-off the
-// pipelined replica loop rides on, and the tuner's observation path itself.
+// the AutoTune controller observing every ship) and the tuner's observation
+// path itself.
 // Any regression fails the benchmark run, so CI executes it with
 // -benchtime=1x as a gate.
 func BenchmarkHotPathAllocs(b *testing.B) {
@@ -35,7 +35,6 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		Tuner:    tune.New(tune.Config{}),
 		MaxBatch: 512,
 	})
-	ring := NewRing[Message](8)
 	ctl := tune.New(tune.Config{})
 	now := time.Now()
 
@@ -54,11 +53,6 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 				tuned.Add(proto.NodeID(i%2), payload)
 			}
 			tuned.Flush()
-		}},
-		{"ring push+pop", func() {
-			ring.TryPush(Message{From: 1, Payload: payload})
-			m, _ := ring.TryPop()
-			m.Release()
 		}},
 		{"tuner observe", func() {
 			now = now.Add(50 * time.Microsecond)

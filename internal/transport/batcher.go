@@ -65,10 +65,10 @@ const sendBufMaxIdle = 64 << 10
 const DefaultMaxBatch = 512
 
 // Batcher coalesces the sends of one batching round per destination, tagging
-// every envelope with the owning ordering group. Every protocol's hot path —
-// the OAR server and client loops as well as the baseline replicas and the
-// first-reply client — funnels its sends through one of these, so all
-// backends are measured under the same transport. A Batcher is owned by a
+// every envelope with the owning ordering group. The replica runtime and the
+// client sender of internal/backend funnel every protocol's sends through
+// one of these, so all backends are measured under the same transport. A
+// Batcher is owned by a
 // single goroutine (a replica event loop, or a client's sender loop). FIFO
 // per destination is preserved because frames are appended in send order and
 // rounds never interleave.

@@ -198,7 +198,7 @@ func TestBatcherTunerDrivesWindowAndSeesShips(t *testing.T) {
 }
 
 // readReplyFrame encodes a reply the way the replica's read fast path does
-// (core.Server.handleRead → sendReply → AppendReply), so these tests exercise
+// (backend.Runtime.handleRead → SendReply → AppendReply), so these tests exercise
 // the exact frames the batcher holds on the read path.
 func readReplyFrame(pos uint64) []byte {
 	return proto.AppendReply(nil, proto.Reply{

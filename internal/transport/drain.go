@@ -18,10 +18,9 @@ import "runtime"
 // spins <= 0 disables round formation entirely: the unbatched experiment
 // control handles one message per round.
 //
-// Every event loop in the repository — the OAR server and client, both
-// baseline replicas, and the first-reply client's sender — forms its rounds
-// through this one function, so "a round" means the same thing in every
-// backend.
+// Both event loops that batch — the replica runtime's and the client
+// sender's (internal/backend) — form their rounds through this one function,
+// so "a round" means the same thing under every protocol.
 func DrainLinger[T any](ch <-chan T, spins, maxAbsorb int, handle func(T)) (absorbed int, open bool) {
 	for s := 0; s < spins; s++ {
 	drain:

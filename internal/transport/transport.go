@@ -197,7 +197,7 @@ type Queue struct {
 
 // outBuffer is the capacity of a queue's delivery channel. A buffered
 // channel lets the pump stay ahead of the consumer, so an event loop that
-// drains its inbox opportunistically (the batching path in core.Server.Run)
+// drains its inbox opportunistically (the batching path in backend.Runtime.Run)
 // actually observes the backlog instead of one message per goroutine switch.
 const outBuffer = 256
 

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/memnet"
 	"repro/internal/metrics"
@@ -71,9 +71,7 @@ func (c *Client) Invoke(ctx context.Context, cmd []byte) (Reply, error) {
 // well-formed reads of the selected machine — and machines without a
 // read-only surface — transparently fall back to the ordered path.
 func (c *Client) InvokeRead(ctx context.Context, cmd []byte) (Reply, error) {
-	ri, ok := c.inner.(interface {
-		InvokeRead(ctx context.Context, cmd []byte) (proto.Reply, error)
-	})
+	ri, ok := c.inner.(backend.ReadInvoker)
 	if !ok {
 		return c.Invoke(ctx, cmd)
 	}
@@ -135,10 +133,6 @@ type ClusterOptions struct {
 	// between a latency floor (idle: flush immediately) and a throughput
 	// ceiling. Requires batching (BatchWindow >= 0).
 	AutoTune bool
-	// Pipeline runs each replica's event loop as decode → order → send
-	// stages on separate goroutines connected by lock-free rings, so a
-	// replica can use several cores. Protocol semantics are unchanged.
-	Pipeline bool
 	// WALRoot, when non-empty, gives every replica a write-ahead log under
 	// that directory (one subdirectory per shard and replica): definitive
 	// deliveries and epoch boundaries are fsynced per closed epoch and
@@ -176,7 +170,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		BatchWindow:       opts.BatchWindow,
 		MaxBatch:          opts.MaxBatch,
 		AutoTune:          opts.AutoTune,
-		Pipeline:          opts.Pipeline,
 		WALRoot:           opts.WALRoot,
 		SnapshotEvery:     opts.SnapshotEvery,
 		Net: memnet.Options{
@@ -346,9 +339,8 @@ type ServerOptions struct {
 	// BatchWindow and MaxBatch as in ClusterOptions.
 	BatchWindow time.Duration
 	MaxBatch    int
-	// AutoTune and Pipeline as in ClusterOptions.
+	// AutoTune as in ClusterOptions.
 	AutoTune bool
-	Pipeline bool
 	// WALDir, when non-empty, makes the replica durable: definitive
 	// deliveries and epoch boundaries are written to a segmented,
 	// CRC-checked write-ahead log there, fsynced once per closed epoch. A
@@ -443,7 +435,11 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 			return fmt.Errorf("oar: wal dir: %w", err)
 		}
 	}
-	srv, err := core.NewServer(core.ServerConfig{
+	be, err := backend.Lookup(cluster.OAR.String())
+	if err != nil {
+		return err
+	}
+	srv, err := be.NewReplica(backend.ReplicaConfig{
 		ID:                group[opts.Rank],
 		Group:             group,
 		GroupID:           proto.GroupID(opts.GroupID), //nolint:gosec // operator-supplied small int
@@ -455,7 +451,6 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 		BatchWindow:       opts.BatchWindow,
 		MaxBatch:          opts.MaxBatch,
 		AutoTune:          opts.AutoTune,
-		Pipeline:          opts.Pipeline,
 		WALDir:            opts.WALDir,
 		SnapshotEvery:     opts.SnapshotEvery,
 		Incarnation:       incarnation,
@@ -475,15 +470,15 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 			ns := node.Stats()
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(ServerReport{
-				Delivered:      s.Delivered(),
+				Delivered:      s.Delivered,
 				OptDelivered:   s.OptDelivered,
 				OptUndelivered: s.OptUndelivered,
 				ADelivered:     s.ADelivered,
 				Epochs:         s.Epochs,
 				SeqOrdersSent:  s.SeqOrdersSent,
 				BatchFrames:    s.BatchFrames,
-				BatchedSends:   s.BatchedMsgs,
-				BatchWindowNS:  int64(s.BatchWindow),
+				BatchedSends:   s.BatchedSends,
+				BatchWindowNS:  s.BatchWindowNS,
 				ReadsServed:    s.ReadsServed,
 				ReadFallbacks:  s.ReadFallbacks,
 				FramesSent:     ns.FramesSent,
@@ -557,7 +552,7 @@ type ClientOptions struct {
 // Stats).
 type TCPClient struct {
 	node     *tcpnet.Node
-	inner    *core.Client
+	inner    Client // measured: records into hist and readHist
 	hist     *metrics.Histogram
 	readHist *metrics.Histogram
 }
@@ -576,11 +571,15 @@ func NewTCPClient(opts ClientOptions) (*TCPClient, error) {
 	for i, addr := range opts.Servers {
 		peers[group[i]] = addr
 	}
+	be, err := backend.Lookup(cluster.OAR.String())
+	if err != nil {
+		return nil, err
+	}
 	node, err := tcpnet.New(tcpnet.Config{ID: id, Listen: opts.Listen, Peers: peers})
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewClient(core.ClientConfig{
+	inv, err := be.NewInvoker(backend.InvokerConfig{
 		ID:      id,
 		Group:   group,
 		GroupID: proto.GroupID(opts.GroupID), //nolint:gosec // operator-supplied small int
@@ -590,39 +589,23 @@ func NewTCPClient(opts ClientOptions) (*TCPClient, error) {
 		node.Close()
 		return nil, err
 	}
-	inner.Start()
-	return &TCPClient{
-		node:     node,
-		inner:    inner,
-		hist:     metrics.NewHistogram(),
-		readHist: metrics.NewHistogram(),
-	}, nil
+	c := &TCPClient{node: node, hist: metrics.NewHistogram(), readHist: metrics.NewHistogram()}
+	c.inner = Client{inner: backend.Measure(inv, c.hist, c.readHist)}
+	return c, nil
 }
 
 // Invoke submits a command and blocks until a consistent reply is adopted.
 // Successful invocations record their end-to-end response time (submit to
 // adopted reply) into the client's latency histogram.
 func (c *TCPClient) Invoke(ctx context.Context, cmd []byte) (Reply, error) {
-	start := time.Now()
-	r, err := c.inner.Invoke(ctx, cmd)
-	if err != nil {
-		return Reply{}, err
-	}
-	c.hist.Record(time.Since(start))
-	return toReply(r), nil
+	return c.inner.Invoke(ctx, cmd)
 }
 
 // InvokeRead submits a read-only command on the read fast path (see
 // Client.InvokeRead). Successful reads record into the client's read-latency
 // histogram, split out from writes.
 func (c *TCPClient) InvokeRead(ctx context.Context, cmd []byte) (Reply, error) {
-	start := time.Now()
-	r, err := c.inner.InvokeRead(ctx, cmd)
-	if err != nil {
-		return Reply{}, err
-	}
-	c.readHist.Record(time.Since(start))
-	return toReply(r), nil
+	return c.inner.InvokeRead(ctx, cmd)
 }
 
 // TCPStats is the observability surface of one TCP client: response-time
@@ -658,6 +641,6 @@ func (c *TCPClient) Stats() TCPStats {
 
 // Close shuts the client down.
 func (c *TCPClient) Close() {
-	c.inner.Stop()
+	c.inner.Close()
 	c.node.Close()
 }
