@@ -48,13 +48,14 @@ framecheck:
 	go test -race -tags=framecheck ./internal/transport/ ./internal/memnet/ ./internal/core/ ./internal/backend/
 
 # flake-gate repeats the tests whose verdict depends on the slowest replica
-# having caught up — the ones that used to race it — at three levels of
-# parallelism. They must pass every time.
+# having caught up — the ones that used to race it — and the Figure 4 scenario
+# test, whose undo count used to depend on what happens after the heal, at
+# three levels of parallelism. They must pass every time.
 flake-gate:
 	@set -e; for p in 1 2 4; do \
 		echo "==> GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p go test -count=20 \
-			-run 'TestShardedEndToEnd|TestReadNeverAdoptsDoomedPrefix|TestE13QualitativeShape' \
+			-run 'TestShardedEndToEnd|TestReadNeverAdoptsDoomedPrefix|TestExtraTracerObservesScenario|TestE13QualitativeShape' \
 			./internal/cluster ./internal/core ./internal/experiments; \
 	done
 

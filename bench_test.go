@@ -250,21 +250,20 @@ func BenchmarkE7QuorumRule(b *testing.B) {
 // "batched" uses the adaptive default, "ctab" is the consensus baseline.
 func BenchmarkE8BatchedThroughput(b *testing.B) {
 	modes := []struct {
-		name        string
-		protocol    cluster.Protocol
-		batchWindow time.Duration
-		maxBatch    int
+		name      string
+		protocol  cluster.Protocol
+		unbatched bool
 	}{
-		{"unbatched", cluster.OAR, -1, 1},
-		{"batched", cluster.OAR, 0, 0},
-		{"ctab", cluster.CTab, 0, 0},
+		{"unbatched", cluster.OAR, true},
+		{"batched", cluster.OAR, false},
+		{"ctab", cluster.CTab, false},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			c, err := cluster.New(cluster.Options{
 				Protocol: m.protocol, N: 3, FD: cluster.FDNever,
-				Net:         memnet.Options{Seed: 17}, // instant delivery
-				BatchWindow: m.batchWindow, MaxBatch: m.maxBatch,
+				Net:       memnet.Options{Seed: 17}, // instant delivery
+				Unbatched: m.unbatched,
 			})
 			if err != nil {
 				b.Fatal(err)

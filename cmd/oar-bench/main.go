@@ -1,6 +1,6 @@
 // Command oar-bench runs the reproduction experiment suite of DESIGN.md
-// (E1–E15 and the ablations A1–A2) and prints one table per experiment —
-// the data recorded in EXPERIMENTS.md.
+// (E1–E15, E12 retired, and the ablations A1–A2) and prints one table per
+// experiment — the data recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -105,8 +105,6 @@ func run() int {
 	var (
 		quick       = flag.Bool("quick", false, "scaled-down request counts and sweeps")
 		only        = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		batchWindow = flag.Duration("batch-window", 0, "sequencer batch window for E8's batched rows (0 = adaptive)")
-		maxBatch    = flag.Int("max-batch", 0, "max requests per ordering message for E8's batched rows (0 = default)")
 		shards      = flag.Int("shards", 0, "largest shard count E9 sweeps to, in powers of two (0 = the 1/2/4 default)")
 		protoList   = flag.String("protocol", "", "comma-separated ordering backends for the E2/E5/E10/E11 sweeps (default: "+strings.Join(backend.Names(), ",")+")")
 		workloadSel = flag.String("workload", "", "restrict E11's loop disciplines: closed or open (default: both)")
@@ -158,14 +156,12 @@ func run() int {
 		rw = -1 // the experiments' Config uses 0 for "default mix", negative for "all writes"
 	}
 	cfg := experiments.Config{
-		Quick:       *quick,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *maxBatch,
-		Shards:      *shards,
-		Protocols:   selected,
-		Workload:    *workloadSel,
-		Dist:        *distSel,
-		ReadRatio:   rw,
+		Quick:     *quick,
+		Shards:    *shards,
+		Protocols: selected,
+		Workload:  *workloadSel,
+		Dist:      *distSel,
+		ReadRatio: rw,
 	}
 
 	type exp struct {
@@ -184,7 +180,6 @@ func run() int {
 		{"E9", experiments.E9ShardScaling},
 		{"E10", experiments.E10BackendMatrix},
 		{"E11", experiments.E11WorkloadMatrix},
-		{"E12", experiments.E12AdaptiveBatching},
 		{"E13", experiments.E13ReadFastPath},
 		{"E14", experiments.E14Nemesis},
 		{"E15", experiments.E15Recovery},

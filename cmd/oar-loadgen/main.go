@@ -293,8 +293,8 @@ func run() int {
 		[]string{"client", "wrN(+warmup)", "p50", "p99", "max", "rdN(+warmup)", "rd p50", "frTX", "frRX", "byTX", "byRX"}, rows))
 
 	// Server-side view (needs oar-server -stats-addr): how well each replica's
-	// send batcher coalesced — outbound frames per delivered request, protocol
-	// messages per frame, and the effective batch window the tuner settled on.
+	// send batcher coalesced — outbound frames per delivered request and
+	// protocol messages per frame.
 	if *statsURLs != "" {
 		rows = rows[:0]
 		for _, addr := range strings.Split(*statsURLs, ",") {
@@ -304,7 +304,7 @@ func run() int {
 			rep, err := fetchServerStats(addr)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "oar-loadgen: stats %s: %v\n", addr, err)
-				rows = append(rows, []string{addr, "-", "-", "-", "-", "-", "-", "-"})
+				rows = append(rows, []string{addr, "-", "-", "-", "-", "-", "-"})
 				continue
 			}
 			framesPerReq, msgsPerFrame := "-", "-"
@@ -322,12 +322,11 @@ func run() int {
 				fmt.Sprint(rep.BatchFrames),
 				framesPerReq,
 				msgsPerFrame,
-				time.Duration(rep.BatchWindowNS).String(),
 			})
 		}
 		fmt.Println()
 		fmt.Print(metrics.Table(
-			[]string{"server", "delivered", "reads", "rd-fallback", "frames", "frames/req", "msgs/frame", "window"}, rows))
+			[]string{"server", "delivered", "reads", "rd-fallback", "frames", "frames/req", "msgs/frame"}, rows))
 	}
 
 	if *jsonPath != "" {

@@ -29,16 +29,16 @@
 // but slower), -epoch-limit (force a conservative phase every N requests
 // to bound optimistic bookkeeping; 0 = never), -wal-dir (persist the
 // replica's state there and crash-recover from it; each replica needs its
-// own directory), -autotune (self-tune the
-// send batch window between a latency floor and a throughput ceiling),
-// -stats-addr (serve replica counters as JSON at /stats — what
-// oar-loadgen -stats reads to report server-observed coalescing).
+// own directory), -stats-addr (serve replica counters as JSON at /stats —
+// what oar-loadgen -stats reads to report server-observed coalescing).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,33 +53,40 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+// parseFlags turns the command line into the replica's options, reporting
+// what is wrong with it on stderr. A -rank that names no entry of -peers is a
+// usage error here, before anything indexes the peer list with it.
+func parseFlags(args []string, stderr io.Writer) (oar.ServerOptions, error) {
+	fs := flag.NewFlagSet("oar-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		rank     = flag.Int("rank", 0, "this replica's index in -peers (0-based)")
-		peers    = flag.String("peers", "", "comma-separated replica addresses, in rank order (required)")
-		listen   = flag.String("listen", "", "local bind address (default: the -peers entry for -rank)")
-		machine  = flag.String("machine", "kv", "replicated state machine: "+strings.Join(app.Names(), ", "))
-		fdTO     = flag.Duration("suspicion-timeout", 100*time.Millisecond, "failure-detector (◊S) timeout")
-		gcLimit  = flag.Int("epoch-limit", 1024, "force a conservative phase every N requests (0 = never)")
-		walDir   = flag.String("wal-dir", "", "durable state directory (write-ahead log + snapshots); empty = in-memory only")
-		group    = flag.Int("group", 0, "ordering group (shard) this replica serves; peers and clients must match")
-		autoTune = flag.Bool("autotune", false, "self-tune the send batch window (closed-loop controller)")
-		stats    = flag.String("stats-addr", "", "serve replica counters as JSON at http://ADDR/stats (off when empty)")
+		rank    = fs.Int("rank", 0, "this replica's index in -peers (0-based)")
+		peers   = fs.String("peers", "", "comma-separated replica addresses, in rank order (required)")
+		listen  = fs.String("listen", "", "local bind address (default: the -peers entry for -rank)")
+		machine = fs.String("machine", "kv", "replicated state machine: "+strings.Join(app.Names(), ", "))
+		fdTO    = fs.Duration("suspicion-timeout", 100*time.Millisecond, "failure-detector (◊S) timeout")
+		gcLimit = fs.Int("epoch-limit", 1024, "force a conservative phase every N requests (0 = never)")
+		walDir  = fs.String("wal-dir", "", "durable state directory (write-ahead log + snapshots); empty = in-memory only")
+		group   = fs.Int("group", 0, "ordering group (shard) this replica serves; peers and clients must match")
+		stats   = fs.String("stats-addr", "", "serve replica counters as JSON at http://ADDR/stats (off when empty)")
 	)
-	flag.Parse()
-	if *peers == "" {
-		fmt.Fprintln(os.Stderr, "oar-server: -peers is required")
-		flag.Usage()
-		return 2
+	if err := fs.Parse(args); err != nil {
+		return oar.ServerOptions{}, err
 	}
 	addrs := strings.Split(*peers, ",")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Printf("oar-server: replica %d/%d, machine %q, listening on %s\n",
-		*rank, len(addrs), *machine, addrs[*rank])
-	err := oar.ListenAndServe(ctx, oar.ServerOptions{
+	var err error
+	switch {
+	case *peers == "":
+		err = errors.New("-peers is required")
+	case *rank < 0 || *rank >= len(addrs):
+		err = fmt.Errorf("-rank %d names no entry of the %d -peers", *rank, len(addrs))
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "oar-server: %v\n", err)
+		fs.Usage()
+		return oar.ServerOptions{}, err
+	}
+	return oar.ServerOptions{
 		Rank:              *rank,
 		Peers:             addrs,
 		Listen:            *listen,
@@ -88,9 +95,25 @@ func run() int {
 		SuspicionTimeout:  *fdTO,
 		EpochRequestLimit: *gcLimit,
 		WALDir:            *walDir,
-		AutoTune:          *autoTune,
 		StatsAddr:         *stats,
-	})
+	}, nil
+}
+
+func run() int {
+	opts, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	fmt.Printf("oar-server: replica %d/%d, machine %q, listening on %s\n",
+		opts.Rank, len(opts.Peers), opts.Machine, opts.Peers[opts.Rank])
+	err = oar.ListenAndServe(ctx, opts)
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "oar-server: %v\n", err)
 		return 1

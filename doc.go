@@ -29,16 +29,12 @@
 // messages of one event-loop round (ordering messages, relays, replies,
 // consensus traffic) into one frame per destination, clients coalesce
 // concurrent invocations per server, and the TCP transport writes frames
-// through a buffered writer that flushes on idle. Two knobs tune the
-// sequencer's ordering batches (ClusterOptions/ServerOptions):
-//
-//   - BatchWindow: 0 (default) batches adaptively with no added latency —
-//     whatever one round accumulated is ordered as one message. A positive
-//     window holds small batches back to grow them, trading latency for
-//     throughput. A negative window disables the batching layer (the
-//     benchmark control).
-//   - MaxBatch: caps requests per ordering message (0 = a generous default,
-//     1 = one ordering message per request).
+// through a buffered writer that flushes on idle. A round is the batch: the
+// sequencer orders whatever one round accumulated as one message, and
+// nothing is held back to grow a batch, so batching adds no latency when the
+// system is idle and forms batches exactly when there is load. There is no
+// option to set; every hold window that was tried lost on the benchmark of
+// record (EXPERIMENTS.md, "Hold windows: measured, and deleted").
 //
 // # Keyspace sharding
 //

@@ -66,39 +66,24 @@ type ReplicaConfig struct {
 	Detector fd.Detector
 	// RelayMode selects the reliable-multicast relay strategy (OAR only).
 	RelayMode rmcast.Mode
-	// TickInterval drives suspicion sampling, heartbeats, consensus timeouts
-	// and windowed flushes (default DefaultTickInterval). HeartbeatInterval
-	// is the gap between heartbeats to peers (default
-	// DefaultHeartbeatInterval; negative disables them, e.g. with an Oracle
-	// detector).
+	// TickInterval drives suspicion sampling, heartbeats and consensus
+	// timeouts (default DefaultTickInterval). HeartbeatInterval is the gap
+	// between heartbeats to peers (default DefaultHeartbeatInterval;
+	// negative disables them, e.g. with an Oracle detector).
 	TickInterval      time.Duration
 	HeartbeatInterval time.Duration
 	// EpochRequestLimit, when positive, makes the OAR sequencer R-broadcast a
 	// PhaseII after that many optimistic deliveries in one epoch — the
 	// garbage collection of the Remark in Section 5.3 (OAR only).
 	EpochRequestLimit int
-	// BatchWindow is how long the OAR sequencer may hold pending requests to
-	// grow an ordering batch. Zero (the default) is adaptive batching with
-	// no added latency: each event-loop round first drains the inbox backlog
-	// and then orders everything that arrived in one SeqOrder, so batches
-	// form exactly when there is load. A positive window additionally delays
-	// ordering until the oldest pending request is that old (or MaxBatch is
-	// reached); its precision is bounded by TickInterval. A negative window
-	// disables the batching layer entirely in every protocol — per-message
-	// sends, one message per round, one ordering round per request — which
-	// is the control in experiment E8.
-	BatchWindow time.Duration
-	// MaxBatch caps the requests per OAR SeqOrder (zero: a protocol default;
-	// 1 reproduces one SeqOrder per request).
-	MaxBatch int
-	// AutoTune replaces the static send-side coalescing with a closed-loop
-	// controller (internal/tune): the outbound batcher holds envelopes up to
-	// a continuously adjusted window — zero when idle, up to the
-	// controller's ceiling when frames ship under-filled. Ordering-side
-	// BatchWindow semantics are unchanged (AutoTune adds exactly one hold
-	// point, at the transport). Requires the batching layer
-	// (BatchWindow >= 0).
-	AutoTune bool
+	// Unbatched disables the batching layer entirely in every protocol —
+	// per-message sends, one message per round, one ordering round per
+	// request — which is the control in experiment E8. The default is
+	// adaptive batching with no added latency: each event-loop round first
+	// drains the inbox backlog, then orders everything that arrived in one
+	// SeqOrder and ships the round's sends as one envelope per destination,
+	// so batches form exactly when there is load.
+	Unbatched bool
 	// WALDir enables the write-ahead log of a protocol that journals (OAR):
 	// definitive deliveries and epoch markers are persisted there and
 	// replayed on the next boot. Empty disables durability (the replica
@@ -144,9 +129,6 @@ type InvokerConfig struct {
 	Tracer Tracer
 	// Unbatched disables the client-side send-coalescing layer.
 	Unbatched bool
-	// AutoTune gives the client's coalescing sender a closed-loop
-	// hold-window controller. Ignored when Unbatched.
-	AutoTune bool
 }
 
 // Replica is one running replica of an ordering protocol: an event loop the
@@ -240,10 +222,6 @@ type Stats struct {
 	// coalescing (messages per frame) is observable per replica.
 	BatchFrames  uint64
 	BatchedSends uint64
-	// BatchWindowNS is the effective send-side hold window in nanoseconds
-	// at snapshot time — the AutoTune controller's current output, or the
-	// static window. A gauge: Accumulate keeps the maximum.
-	BatchWindowNS int64
 	// Latency is the client-observed end-to-end invocation latency of the
 	// backend's clients, attached at aggregation time: replicas return it
 	// nil (a replica never sees a client's response time), and the cluster
@@ -278,9 +256,6 @@ func (s *Stats) Accumulate(other Stats) {
 	s.Batches += other.Batches
 	s.BatchFrames += other.BatchFrames
 	s.BatchedSends += other.BatchedSends
-	if other.BatchWindowNS > s.BatchWindowNS {
-		s.BatchWindowNS = other.BatchWindowNS
-	}
 	if other.Latency != nil {
 		if s.Latency == nil {
 			s.Latency = metrics.NewHistogram()

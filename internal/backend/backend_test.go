@@ -83,8 +83,8 @@ func (r *stubReplica) deliver(reqs []proto.Request) {
 	r.Boundary()
 }
 
-func (r *stubReplica) EndRound(time.Time) {}
-func (r *stubReplica) Tick(time.Time)     {}
+func (r *stubReplica) EndRound()      {}
+func (r *stubReplica) Tick(time.Time) {}
 
 // Only the sequencer's link carries the order stream, FIFO behind its answer.
 func (r *stubReplica) CanServe() bool                          { return r.sequencer() }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/transport"
-	"repro/internal/tune"
 )
 
 // WriteRule is a protocol's write-adoption rule — with SubmitFunc, its half
@@ -161,22 +160,10 @@ func (c *Client) send(to proto.NodeID, payload []byte) {
 // Concurrent Invokes serialize on the client mutex, so the goroutine that
 // will enqueue the next frames is often runnable-but-not-yet-run when the
 // queue looks empty; the linger lets it join the round, and an idle client
-// pays only the yields. With AutoTune the batcher may additionally hold a
-// round's frames to coalesce across rounds; the drain timer guarantees held
-// frames still ship within about a tick when no further Invokes arrive.
+// pays only the yields.
 func (c *Client) sendLoop(ctx context.Context) {
 	defer close(c.senderDone)
-	var opts transport.BatcherOptions
-	if c.cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-	}
-	out := transport.NewBatcherWith(c.cfg.Node, c.cfg.GroupID, opts)
-	defer out.Close()
-	drain := time.NewTimer(time.Hour)
-	if !drain.Stop() {
-		<-drain.C
-	}
-	armed := false
+	out := transport.NewBatcher(c.cfg.Node, c.cfg.GroupID)
 	for {
 		select {
 		case <-ctx.Done():
@@ -187,13 +174,6 @@ func (c *Client) sendLoop(ctx context.Context) {
 				out.Add(j.to, j.payload)
 			})
 			out.Flush()
-		case <-drain.C:
-			armed = false
-			out.Flush()
-		}
-		if !armed && out.Pending() > 0 {
-			drain.Reset(DefaultTickInterval)
-			armed = true
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/proto"
 	"repro/internal/transport"
-	"repro/internal/tune"
 	"repro/internal/wal"
 )
 
@@ -26,7 +25,7 @@ type Protocol interface {
 	// EndRound runs once per event-loop round, after the inbox backlog has
 	// been drained and before the round's sends are flushed: the place for
 	// ordering that should cover the whole round (OAR's Task 1a).
-	EndRound(now time.Time)
+	EndRound()
 	// Tick drives the periodic duties: suspicion, fail-over, consensus
 	// timeouts. The runtime has already sent heartbeats, and does not tick a
 	// recovering replica.
@@ -145,11 +144,10 @@ type Runtime struct {
 	// Count holds the counters behind Stats.
 	Count Counters
 
-	p        Protocol
-	spec     Spec
-	reader   app.Reader  // nil when the machine has no read-only surface
-	durable  app.Durable // nil when the machine cannot snapshot
-	batching bool
+	p       Protocol
+	spec    Spec
+	reader  app.Reader  // nil when the machine has no read-only surface
+	durable app.Durable // nil when the machine cannot snapshot
 
 	// Every send of one round is appended to a per-destination envelope and
 	// flushed as one frame at the end of the round; the buffers and frames
@@ -189,9 +187,6 @@ func (rt *Runtime) Init(cfg ReplicaConfig, p Protocol, spec Spec) error {
 	if cfg.Node == nil || cfg.Machine == nil || cfg.Detector == nil {
 		return fmt.Errorf("backend: Node, Machine and Detector are required")
 	}
-	if cfg.AutoTune && cfg.BatchWindow < 0 {
-		return fmt.Errorf("backend: AutoTune requires the batching layer (BatchWindow >= 0)")
-	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = DefaultTickInterval
 	}
@@ -201,18 +196,12 @@ func (rt *Runtime) Init(cfg ReplicaConfig, p Protocol, spec Spec) error {
 	if cfg.Tracer == nil {
 		cfg.Tracer = NopTracer()
 	}
-	var opts transport.BatcherOptions
-	if cfg.AutoTune {
-		opts.Tuner = tune.New(tune.Config{})
-		opts.MaxBatch = cfg.MaxBatch
-	}
 	*rt = Runtime{
 		Cfg:       cfg,
 		Delivered: make(map[proto.RequestID]struct{}),
 		p:         p,
 		spec:      spec,
-		batching:  cfg.BatchWindow >= 0,
-		out:       transport.NewBatcherWith(cfg.Node, cfg.GroupID, opts),
+		out:       transport.NewBatcher(cfg.Node, cfg.GroupID),
 		encBuf:    make([]byte, 0, 256),
 		hbFrame:   proto.MarshalHeartbeat(cfg.GroupID),
 	}
@@ -236,11 +225,11 @@ func (rt *Runtime) Init(cfg ReplicaConfig, p Protocol, spec Spec) error {
 func (rt *Runtime) Run(ctx context.Context) error {
 	ticker := time.NewTicker(rt.Cfg.TickInterval)
 	defer ticker.Stop()
-	// Ship anything a held window still buffers when the loop exits.
-	defer rt.out.Close()
+	// Ship what a round cut short by the exit had already buffered.
+	defer rt.out.Flush()
 	inbox := rt.Cfg.Node.Recv()
 	spins := 0 // the unbatched control handles one message per round
-	if rt.batching {
+	if rt.Batching() {
 		spins = flushSpins
 	}
 	for {
@@ -263,7 +252,7 @@ func (rt *Runtime) Run(ctx context.Context) error {
 				return nil
 			}
 			if !rt.recovering {
-				rt.p.EndRound(time.Now())
+				rt.p.EndRound()
 			}
 		case now := <-ticker.C:
 			rt.tick(now)
@@ -308,7 +297,6 @@ func (rt *Runtime) Stats() Stats {
 		Batches:              c.Batches.Load(),
 		BatchFrames:          bs.Frames,
 		BatchedSends:         bs.Msgs,
-		BatchWindowNS:        int64(bs.Window),
 	}
 	// The three delivery counters are independent atomics, so a snapshot can
 	// land between related increments and transiently see more rollbacks
@@ -319,14 +307,15 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// Batching reports whether the send-coalescing layer is on (BatchWindow >= 0).
-func (rt *Runtime) Batching() bool { return rt.batching }
+// Batching reports whether the batching layer is on (the default; off only
+// for the Unbatched control).
+func (rt *Runtime) Batching() bool { return !rt.Cfg.Unbatched }
 
 // Send ships one kind-tagged payload. On the batching path it is copied into
 // the destination's envelope at once, so payload may alias a scratch buffer;
 // the unbatched control hands the slice to the transport, which keeps it.
 func (rt *Runtime) Send(to proto.NodeID, payload []byte) {
-	if !rt.batching {
+	if !rt.Batching() {
 		// Send errors mean the network or this node is gone; the event loop
 		// will observe the closed inbox and stop.
 		_ = rt.Cfg.Node.Send(to, payload)
@@ -347,7 +336,7 @@ func (rt *Runtime) SendToPeers(payload []byte) {
 // SendReply encodes and sends a reply — on the batching path through the
 // reusable scratch buffer, so a reply costs no allocation.
 func (rt *Runtime) SendReply(to proto.NodeID, reply proto.Reply) {
-	if !rt.batching {
+	if !rt.Batching() {
 		_ = rt.Cfg.Node.Send(to, proto.MarshalReply(reply))
 		return
 	}
@@ -357,7 +346,7 @@ func (rt *Runtime) SendReply(to proto.NodeID, reply proto.Reply) {
 
 // SendOrder ships one sequencer ordering message to every peer and counts it.
 func (rt *Runtime) SendOrder(order proto.SeqOrder) {
-	if rt.batching {
+	if rt.Batching() {
 		rt.encBuf = proto.AppendSeqOrder(rt.encBuf[:0], rt.Cfg.GroupID, order)
 		rt.SendToPeers(rt.encBuf)
 	} else {

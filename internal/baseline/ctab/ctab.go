@@ -124,7 +124,7 @@ func (s *Server) Submit(req proto.Request) {
 }
 
 // EndRound implements backend.Protocol; batches start on arrival.
-func (s *Server) EndRound(time.Time) {}
+func (s *Server) EndRound() {}
 
 func (s *Server) pending() []proto.Request {
 	var out []proto.Request

@@ -114,7 +114,7 @@ func (s *Server) Submit(req proto.Request) {
 }
 
 // EndRound implements backend.Protocol; the sequencer orders on arrival.
-func (s *Server) EndRound(time.Time) {}
+func (s *Server) EndRound() {}
 
 // buffer retains req past the inbound frame's handling, so the command is
 // cloned here (copy-on-retain); duplicates return before the clone.

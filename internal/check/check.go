@@ -365,6 +365,20 @@ func (c *Checker) Undeliveries() int {
 	return c.undeliveries
 }
 
+// UndeliveriesIn returns how many Opt-undeliver events revoked a delivery of
+// the given epoch.
+func (c *Checker) UndeliveriesIn(epoch uint64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, u := range c.undone {
+		if u.epoch == epoch {
+			n++
+		}
+	}
+	return n
+}
+
 // Deliveries returns the (optimistic, conservative) delivery counts.
 func (c *Checker) Deliveries() (opt, cons int) {
 	c.mu.Lock()

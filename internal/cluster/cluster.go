@@ -106,17 +106,9 @@ type Options struct {
 	// EpochRequestLimit forces a PhaseII after that many optimistic
 	// deliveries per epoch (0 = off; OAR only); see the Section 5.3 Remark.
 	EpochRequestLimit int
-	// BatchWindow and MaxBatch tune the transport batching layer and (for
-	// OAR) the sequencer's ordering batches; see backend.ReplicaConfig. A
-	// negative BatchWindow disables send coalescing in every backend;
-	// MaxBatch=1 reproduces the unbatched one-SeqOrder-per-request behavior.
-	BatchWindow time.Duration
-	MaxBatch    int
-	// AutoTune replaces the static send-side hold with a closed-loop
-	// controller (internal/tune) on every replica and client batcher; the
-	// effective window then floats between the latency floor and MaxWindow.
-	// Requires batching (BatchWindow >= 0).
-	AutoTune bool
+	// Unbatched disables the batching layer in every replica and client of
+	// every backend (the E8 control); see backend.ReplicaConfig.
+	Unbatched bool
 	// TickInterval and HeartbeatInterval tune the server loops (defaults
 	// from backend).
 	TickInterval      time.Duration
@@ -438,9 +430,7 @@ func (c *Cluster) buildReplica(ctx context.Context, sg *shardGroup, i int, machi
 		TickInterval:      opts.TickInterval,
 		HeartbeatInterval: hbInterval,
 		EpochRequestLimit: opts.EpochRequestLimit,
-		BatchWindow:       opts.BatchWindow,
-		MaxBatch:          opts.MaxBatch,
-		AutoTune:          opts.AutoTune,
+		Unbatched:         opts.Unbatched,
 		Tracer:            sg.tracer,
 		WALDir:            walDir,
 		WALSync:           opts.WALSync,
@@ -649,8 +639,7 @@ func (c *Cluster) newClientAt(idx int) (Invoker, error) {
 			GroupID:   sg.id,
 			Node:      sg.net.Node(id),
 			Tracer:    sg.tracer,
-			Unbatched: c.opts.BatchWindow < 0,
-			AutoTune:  c.opts.AutoTune,
+			Unbatched: c.opts.Unbatched,
 		})
 		if err != nil {
 			for _, prev := range started {

@@ -3,36 +3,29 @@ package core_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/cluster"
 )
 
-// TestBatchingModesEquivalent runs the same workload under the batching
-// layer's configurations — disabled (the pre-batching wire behavior),
-// adaptive, windowed and self-tuned — and requires identical client-visible
-// semantics: consecutive positions, correct results, and a clean
-// trace-checker verdict.
+// TestBatchingModesEquivalent runs the same workload with the batching layer
+// disabled (the pre-batching wire behavior, E8's control) and adaptive (the
+// default) and requires identical client-visible semantics: consecutive
+// positions, correct results, and a clean trace-checker verdict.
 func TestBatchingModesEquivalent(t *testing.T) {
 	modes := []struct {
-		name        string
-		batchWindow time.Duration
-		maxBatch    int
-		autoTune    bool
+		name      string
+		unbatched bool
 	}{
-		{name: "disabled", batchWindow: -1, maxBatch: 1},
-		{name: "adaptive", batchWindow: 0, maxBatch: 0},
-		{name: "windowed", batchWindow: 2 * time.Millisecond, maxBatch: 4},
-		{name: "autotune", batchWindow: 0, maxBatch: 0, autoTune: true},
+		{name: "disabled", unbatched: true},
+		{name: "adaptive"},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			ck := check.New(3)
 			c := mustCluster(t, cluster.Options{
 				N: 3, FD: cluster.FDNever, Tracer: ck,
-				BatchWindow: m.batchWindow, MaxBatch: m.maxBatch,
-				AutoTune: m.autoTune,
+				Unbatched: m.unbatched,
 			})
 			cli, err := c.NewClient()
 			if err != nil {

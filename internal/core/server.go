@@ -25,8 +25,10 @@ import (
 	"repro/internal/rmcast"
 )
 
-// DefaultMaxBatch is the ordering batch size used when MaxBatch is zero.
-const DefaultMaxBatch = 512
+// maxBatch caps the requests per SeqOrder. A round rarely gathers that many;
+// the cap bounds the frame when a long phase 2 leaves a large backlog to
+// order at once.
+const maxBatch = 512
 
 // Server is one OAR replica: Figure 6's tasks and Figure 7's Cnsv-order on
 // the shared replica runtime, which supplies the event loop, sends, the read
@@ -52,9 +54,8 @@ type Server struct {
 	undoStack  []func()                          // undo closures, aligned with oDelivered
 	inPhase2   bool
 
-	// Batching state (Task 1a flush control).
-	orderDirty     bool      // pending grew since the last flush decision
-	firstPendingAt time.Time // arrival of the oldest pending request
+	// orderDirty: pending grew since the last Task 1a decision (EndRound).
+	orderDirty bool
 
 	// Epoch/consensus bookkeeping.
 	phase2Sent    map[uint64]struct{} // epochs whose PhaseII we broadcast (Task 1c guard)
@@ -220,9 +221,6 @@ func (s *Server) bufferRequest(req proto.Request) {
 	}
 	s.payloads[req.ID] = req.Clone()
 	s.rOrder = append(s.rOrder, req.ID)
-	if s.Cfg.BatchWindow > 0 && s.pending.IsEmpty() {
-		s.firstPendingAt = time.Now() // only the windowed mode reads this
-	}
 	s.pending = append(s.pending, req.ID)
 	s.orderDirty = true
 }
@@ -236,29 +234,11 @@ func (s *Server) notDelivered() mseq.Seq[proto.RequestID] {
 	return s.pending
 }
 
-// maxBatch returns the effective per-SeqOrder request cap.
-func (s *Server) maxBatch() int {
-	if s.Cfg.MaxBatch > 0 {
-		return s.Cfg.MaxBatch
-	}
-	return DefaultMaxBatch
-}
-
-// EndRound implements backend.Protocol: it decides whether Task 1a runs now.
-// With no BatchWindow it orders whatever the current event-loop round
-// accumulated; with a window it holds small batches until the oldest pending
-// request has waited long enough.
-func (s *Server) EndRound(now time.Time) {
+// EndRound implements backend.Protocol: Task 1a for whatever the current
+// event-loop round accumulated — a round is the batch.
+func (s *Server) EndRound() {
 	if !s.orderDirty || s.inPhase2 || s.sequencer() != s.Cfg.ID {
 		return
-	}
-	if s.pending.IsEmpty() {
-		s.orderDirty = false
-		return
-	}
-	if s.Cfg.BatchWindow > 0 && s.pending.Len() < s.maxBatch() &&
-		now.Sub(s.firstPendingAt) < s.Cfg.BatchWindow {
-		return // keep accumulating; a later message or tick flushes
 	}
 	s.orderDirty = false
 	s.maybeOrder()
@@ -266,7 +246,7 @@ func (s *Server) EndRound(now time.Time) {
 
 // maybeOrder is Task 1a: if this replica is the sequencer of the current
 // epoch and there are unordered messages, it orders them — in batches of at
-// most MaxBatch — and sends each sequence to all, then Opt-delivers it
+// most maxBatch — and sends each sequence to all, then Opt-delivers it
 // immediately itself ("we assume that the sequencer immediately delivers
 // this message"). Delivering each batch before emitting the next keeps that
 // assumption intact when a delivery triggers the epoch-limit PhaseII.
@@ -276,8 +256,8 @@ func (s *Server) maybeOrder() {
 	}
 	for !s.inPhase2 && s.sequencer() == s.Cfg.ID && !s.pending.IsEmpty() {
 		chunk := s.pending
-		if limit := s.maxBatch(); len(chunk) > limit {
-			chunk = chunk[:limit]
+		if len(chunk) > maxBatch {
+			chunk = chunk[:maxBatch]
 		}
 		// Materialize into the reusable scratch slice (the payload bodies
 		// are owned by the payloads map); SendOrder encodes into the
@@ -557,7 +537,6 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	s.rOrder = live
 	s.pending = live.Clone()
 	s.orderDirty = !s.pending.IsEmpty()
-	s.firstPendingAt = time.Time{} // leftovers have waited a whole phase 2
 
 	s.oDelivered = nil
 	s.oSet = make(map[proto.RequestID]struct{})
@@ -602,9 +581,8 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 // consensus timeouts.
 func (s *Server) Tick(now time.Time) {
 	if !s.inPhase2 {
-		// Task 1a catch-up (e.g. a BatchWindow that expired with no further
-		// traffic, or requests that arrived during phase 2).
-		s.EndRound(now)
+		// Task 1a catch-up (requests that arrived during phase 2).
+		s.EndRound()
 		// Task 1c: when p suspects the sequencer, R-broadcast (k, PhaseII).
 		seq := s.sequencer()
 		if seq != s.Cfg.ID && s.Cfg.Detector.Suspected(seq, now) {

@@ -305,8 +305,12 @@ func TestFigure4OptUndeliver(t *testing.T) {
 	if m3reply.Pos != 4 {
 		t.Fatalf("m3 adopted at pos %d, want 4", m3reply.Pos)
 	}
-	if !cluster.WaitUntil(testTimeout, func() bool { return ck.Undeliveries() == 4 }) {
-		t.Fatalf("undeliveries = %d, want 4 (m4 and m3 at both p0 and p1)", ck.Undeliveries())
+	// Epoch 0's undos are the figure's claim. After the heal p1 — epoch 1's
+	// sequencer by rotation — may also Opt-deliver m3 in epoch 1 before it
+	// learns the majority closed that epoch without it, and rightly undo
+	// that too, so the total is not a constant.
+	if !cluster.WaitUntil(testTimeout, func() bool { return ck.UndeliveriesIn(0) == 4 }) {
+		t.Fatalf("undeliveries of epoch 0 = %d, want 4 (m4 and m3 at both p0 and p1)", ck.UndeliveriesIn(0))
 	}
 	// All five replicas converge on the same history: m1 m2 m4 m3.
 	if !cluster.WaitUntil(testTimeout, func() bool {

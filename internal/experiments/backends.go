@@ -43,7 +43,7 @@ func E10BackendMatrix(cfg Config) (Result, error) {
 	for _, p := range cfg.protocols() {
 		for _, shards := range shardCounts {
 			for _, fault := range []bool{false, true} {
-				row, err := e10Cell(cfg, p, shards, fault, total, nClients, outstanding)
+				row, err := e10Cell(p, shards, fault, total, nClients, outstanding)
 				if err != nil {
 					return res, fmt.Errorf("E10 %v shards=%d fault=%v: %w", p, shards, fault, err)
 				}
@@ -55,17 +55,15 @@ func E10BackendMatrix(cfg Config) (Result, error) {
 }
 
 // e10Cell runs one cell of the matrix and returns its table row.
-func e10Cell(cfg Config, p cluster.Protocol, shards int, fault bool, total, nClients, outstanding int) ([]string, error) {
+func e10Cell(p cluster.Protocol, shards int, fault bool, total, nClients, outstanding int) ([]string, error) {
 	checked := p == cluster.OAR
 	var cks []*check.Checker
 	opts := cluster.Options{
-		Protocol:    p,
-		N:           3,
-		Shards:      shards,
-		FD:          cluster.FDNever,
-		Net:         memnet.Options{Seed: 29}, // instant delivery
-		BatchWindow: cfg.BatchWindow,
-		MaxBatch:    cfg.MaxBatch,
+		Protocol: p,
+		N:        3,
+		Shards:   shards,
+		FD:       cluster.FDNever,
+		Net:      memnet.Options{Seed: 29}, // instant delivery
 	}
 	if checked {
 		cks = make([]*check.Checker, shards)

@@ -66,7 +66,7 @@ func pipelinedLoadCmd(c *cluster.Cluster, clients, outstanding, total int, cmdf 
 }
 
 // E8Batching measures the end-to-end effect of the message-batching layer on
-// the optimistic hot path: OAR with per-request ordering (MaxBatch=1, the
+// the optimistic hot path: OAR with the layer off (Unbatched, the
 // pre-batching behavior) vs. OAR with adaptive batching, against the ctab
 // baseline, on the instant in-memory network where protocol CPU and message
 // count — not simulated wire latency — are the bottleneck. The OAR rows run
@@ -78,7 +78,7 @@ func E8Batching(cfg Config) (Result, error) {
 		Title:  "sequencer batching on the optimistic hot path (instant network, n=3)",
 		Header: []string{"mode", "clients×pipeline", "req/s", "frames/req", "batched/req", "seqorders", "violations"},
 		Notes: []string{
-			"unbatched = MaxBatch 1 (one SeqOrder and one reply frame per request)",
+			"unbatched = batching layer off (one SeqOrder and one reply frame per request)",
 			"batched coalesces each round's orders and per-client replies into proto.Batch frames",
 			"frames/req and batched/req come from the transport's batching counters (also in oar.Stats)",
 		},
@@ -86,24 +86,22 @@ func E8Batching(cfg Config) (Result, error) {
 	total := cfg.requests(8000)
 	const nClients, outstanding = 8, 16
 	modes := []struct {
-		name        string
-		protocol    cluster.Protocol
-		maxBatch    int
-		batchWindow time.Duration
-		checked     bool
+		name      string
+		protocol  cluster.Protocol
+		unbatched bool
+		checked   bool
 	}{
-		{"oar/unbatched", cluster.OAR, 1, -1, true}, // negative window = batching layer off
-		{"oar/batched", cluster.OAR, cfg.MaxBatch, cfg.BatchWindow, true},
-		{"ctab", cluster.CTab, 0, 0, false},
+		{"oar/unbatched", cluster.OAR, true, true},
+		{"oar/batched", cluster.OAR, false, true},
+		{"ctab", cluster.CTab, false, false},
 	}
 	for _, m := range modes {
 		opts := cluster.Options{
-			Protocol:    m.protocol,
-			N:           3,
-			FD:          cluster.FDNever,
-			Net:         memnet.Options{Seed: 21}, // instant delivery
-			MaxBatch:    m.maxBatch,
-			BatchWindow: m.batchWindow,
+			Protocol:  m.protocol,
+			N:         3,
+			FD:        cluster.FDNever,
+			Net:       memnet.Options{Seed: 21}, // instant delivery
+			Unbatched: m.unbatched,
 		}
 		var ck *check.Checker
 		if m.checked {

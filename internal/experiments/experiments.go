@@ -88,11 +88,6 @@ func (r Result) String() string {
 type Config struct {
 	// Quick shrinks request counts and sweep ranges (used by `go test`).
 	Quick bool
-	// BatchWindow and MaxBatch are the sequencer batching knobs applied to
-	// the "batched" rows of E8 and all rows of E9 (zero values use the core
-	// defaults).
-	BatchWindow time.Duration
-	MaxBatch    int
 	// Shards, when positive, overrides E9's shard-count sweep to the powers
 	// of two up to this value (default sweep: 1, 2, 4).
 	Shards int

@@ -20,12 +20,18 @@ type Outcome struct {
 	External     int // prop7 external-consistency violations
 	TotalOrder   int // prop5 divergence violations
 	Undeliveries int
-	OtherViols   int
+	// UndeliveriesEpoch0 counts the Opt-undelivers of epoch 0 — the epoch
+	// the scripted fault lands in. What happens after the heal is not
+	// scripted: a replica that is the next epoch's sequencer by rotation
+	// may Opt-deliver there before it learns the majority closed that epoch
+	// without it, and then rightly undoes that too.
+	UndeliveriesEpoch0 int
+	OtherViols         int
 }
 
-func classify(vs []*check.Violation, und int) Outcome {
-	out := Outcome{Undeliveries: und}
-	for _, v := range vs {
+func classify(ck *check.Checker) Outcome {
+	out := Outcome{Undeliveries: ck.Undeliveries(), UndeliveriesEpoch0: ck.UndeliveriesIn(0)}
+	for _, v := range ck.Verify() {
 		switch v.Property {
 		case "prop7 external consistency":
 			out.External++
@@ -145,7 +151,7 @@ func RunFigure1b(protocol cluster.Protocol, extra ...backend.Tracer) (Outcome, e
 	case <-time.After(2 * time.Second):
 	}
 	time.Sleep(20 * time.Millisecond)
-	return classify(ck.Verify(), ck.Undeliveries()), nil
+	return classify(ck), nil
 }
 
 // E1ExternalInconsistency runs the Figure 1(b) fault against both the
@@ -299,7 +305,10 @@ func RunFigure4(protocol cluster.Protocol, extra ...backend.Tracer) (Outcome, er
 		return true
 	})
 	time.Sleep(20 * time.Millisecond)
-	return classify(ck.Verify(), ck.Undeliveries()), nil
+	// Stop before reading the verdict, so that no event can land between the
+	// checker's counts and what a caller's extra tracer goes on to see.
+	c.Stop()
+	return classify(ck), nil
 }
 
 // E4OptUndeliver runs the Figure 4 minority-partition scenario against both
@@ -309,9 +318,10 @@ func E4OptUndeliver(cfg Config) (Result, error) {
 	res := Result{
 		ID:     "E4",
 		Title:  "Figure 4 scenario: minority partition with sequencer (n=5)",
-		Header: []string{"protocol", "runs", "opt-undeliveries", "external inconsistencies", "order divergences"},
+		Header: []string{"protocol", "runs", "opt-undeliveries (epoch 0)", "external inconsistencies", "order divergences"},
 		Notes: []string{
-			"oar: exactly 4 undeliveries per run (m3, m4 at both minority replicas), zero client impact",
+			"oar: exactly 4 undeliveries of epoch 0 per run (m3, m4 at both minority replicas), zero client impact",
+			"after the heal p1, epoch 1's sequencer by rotation, may Opt-deliver m3 there before it learns the majority closed epoch 1 without it, and undo that too: legitimate, and not counted here",
 			"the three-event conjunction of Section 6 makes this the only undo-producing shape",
 		},
 	}
@@ -328,11 +338,11 @@ func E4OptUndeliver(cfg Config) (Result, error) {
 			}
 			sum.External += out.External
 			sum.TotalOrder += out.TotalOrder
-			sum.Undeliveries += out.Undeliveries
+			sum.UndeliveriesEpoch0 += out.UndeliveriesEpoch0
 		}
 		res.Rows = append(res.Rows, []string{
 			p.String(), fmt.Sprint(runs),
-			fmt.Sprint(sum.Undeliveries), fmt.Sprint(sum.External), fmt.Sprint(sum.TotalOrder),
+			fmt.Sprint(sum.UndeliveriesEpoch0), fmt.Sprint(sum.External), fmt.Sprint(sum.TotalOrder),
 		})
 	}
 	return res, nil

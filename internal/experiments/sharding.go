@@ -52,13 +52,11 @@ func E9ShardScaling(cfg Config) (Result, error) {
 			cks[i] = check.New(3)
 		}
 		c, err := cluster.New(cluster.Options{
-			N:           3,
-			Shards:      shards,
-			FD:          cluster.FDNever,
-			Net:         memnet.Options{Seed: 23}, // instant delivery
-			BatchWindow: cfg.BatchWindow,
-			MaxBatch:    cfg.MaxBatch,
-			TracerFor:   func(s int) backend.Tracer { return cks[s] },
+			N:         3,
+			Shards:    shards,
+			FD:        cluster.FDNever,
+			Net:       memnet.Options{Seed: 23}, // instant delivery
+			TracerFor: func(s int) backend.Tracer { return cks[s] },
 		})
 		if err != nil {
 			return res, err

@@ -126,14 +126,12 @@ func e11Cell(cfg Config, p cluster.Protocol, dist string, rate float64, requests
 	checked := p == cluster.OAR
 	var cks []*check.Checker
 	opts := cluster.Options{
-		Protocol:    p,
-		N:           3,
-		Shards:      shards,
-		Machine:     "kv",
-		FD:          cluster.FDNever,
-		Net:         memnet.Options{Seed: 31}, // instant delivery
-		BatchWindow: cfg.BatchWindow,
-		MaxBatch:    cfg.MaxBatch,
+		Protocol: p,
+		N:        3,
+		Shards:   shards,
+		Machine:  "kv",
+		FD:       cluster.FDNever,
+		Net:      memnet.Options{Seed: 31}, // instant delivery
 	}
 	if checked {
 		cks = make([]*check.Checker, shards)

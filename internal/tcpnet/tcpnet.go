@@ -12,13 +12,12 @@
 // exponential backoff, and frames queue unboundedly while a peer is down.
 // Each sender wakeup drains its whole queued backlog, assembles it into one
 // length-prefixed burst, and hands it to a buffered writer that flushes when
-// the queue runs dry (plus an optional Config.FlushWindow linger), so message
-// bursts — including proto.Batch envelopes produced by the replicas — cost
-// one buffered write and one syscall instead of one per message —
-// matching the reliable-channel abstraction for crash-stop runs (frames in
-// flight during a genuine TCP reset can be lost; the protocols above tolerate
-// this exactly the way they tolerate a slow channel, via relays and
-// consensus).
+// the queue runs dry, so message bursts — including proto.Batch envelopes
+// produced by the replicas — cost one buffered write and one syscall instead
+// of one per message — matching the reliable-channel abstraction for
+// crash-stop runs (frames in flight during a genuine TCP reset can be lost;
+// the protocols above tolerate this exactly the way they tolerate a slow
+// channel, via relays and consensus).
 // Frames are pooled in both directions (transport.Frame): sends recycle
 // their buffers once written, and received frames are recycled by the
 // consuming event loop's Message.Release.
@@ -64,12 +63,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// RetryMax bounds the reconnect backoff (default 1s).
 	RetryMax time.Duration
-	// FlushWindow is how long a sender lingers after draining its queue
-	// before flushing buffered frames to the socket, coalescing bursts into
-	// fewer syscalls. Zero flushes as soon as the queue is idle (no added
-	// latency); a small positive value (tens of microseconds) trades a little
-	// latency for larger writes under streaming load.
-	FlushWindow time.Duration
 }
 
 // sendBufSize is the bufio buffer in front of each outgoing socket. Frames
@@ -109,8 +102,7 @@ var _ transport.Node = (*Node)(nil)
 
 // outgoing is a per-destination sender: an unbounded queue of pooled frames
 // drained by one goroutine that (re)dials as needed, preserving FIFO order.
-// The single consumer is woken through signal, which also supports the timed
-// wait of the flush window.
+// The single consumer is woken through signal.
 type outgoing struct {
 	mu     sync.Mutex
 	queue  []*transport.Frame
@@ -121,26 +113,18 @@ type outgoing struct {
 
 // pop outcomes.
 const (
-	popFrames  = iota // one or more frames were dequeued
-	popTimeout        // the wait elapsed with the queue still empty
-	popClosed         // the sender was closed
+	popFrames = iota // one or more frames were dequeued
+	popIdle          // the queue is empty and the caller chose not to block
+	popClosed        // the sender was closed
 )
 
 // popBatch dequeues the entire queued backlog in one swap, so a wakeup
 // under streaming load drains every frame the senders accumulated (the
-// caller coalesces them into a single buffered write). wait < 0 blocks until
-// a frame or close; wait >= 0 gives up after that duration (0 = poll). The
-// timeout timer is only allocated once the queue is actually observed empty,
-// so the streaming-load path pays no timer churn. The returned slice is
-// owned by the caller until its next popBatch call.
-func (o *outgoing) popBatch(wait time.Duration) ([]*transport.Frame, int) {
-	var timer *time.Timer
-	var timeoutC <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+// caller coalesces them into a single buffered write). On an empty queue it
+// blocks until a frame or close when block is set, and reports popIdle
+// otherwise. The returned slice is owned by the caller until its next
+// popBatch call.
+func (o *outgoing) popBatch(block bool) ([]*transport.Frame, int) {
 	for {
 		o.mu.Lock()
 		if len(o.queue) > 0 {
@@ -155,18 +139,10 @@ func (o *outgoing) popBatch(wait time.Duration) ([]*transport.Frame, int) {
 		if closed {
 			return nil, popClosed
 		}
-		if wait == 0 {
-			return nil, popTimeout
+		if !block {
+			return nil, popIdle
 		}
-		if wait > 0 && timer == nil {
-			timer = time.NewTimer(wait)
-			timeoutC = timer.C
-		}
-		select {
-		case <-o.signal:
-		case <-timeoutC:
-			return nil, popTimeout
-		}
+		<-o.signal
 	}
 }
 
@@ -413,11 +389,11 @@ func (n *Node) readLoop(conn net.Conn) {
 // wakeup takes the entire queued backlog in one swap, length-prefixes every
 // frame into a reusable scratch buffer, releases the pooled frames, and
 // hands the whole burst to the bufio.Writer as a single write; the writer is
-// flushed only when the queue runs dry (plus the optional FlushWindow
-// linger). A burst of messages therefore costs one buffered write and one
-// syscall instead of one per frame. Frames buffered but not yet flushed when
-// the connection breaks are lost exactly like frames in flight on the wire —
-// the loss mode the protocols above already tolerate.
+// flushed only when the queue runs dry. A burst of messages therefore costs
+// one buffered write and one syscall instead of one per frame. Frames
+// buffered but not yet flushed when the connection breaks are lost exactly
+// like frames in flight on the wire — the loss mode the protocols above
+// already tolerate.
 func (n *Node) sendLoop(to proto.NodeID, out *outgoing) {
 	defer n.wg.Done()
 	var conn net.Conn
@@ -444,15 +420,13 @@ func (n *Node) sendLoop(to proto.NodeID, out *outgoing) {
 	var lenBuf [4]byte
 
 	for {
-		wait := time.Duration(-1) // nothing buffered: block until work arrives
-		if buffered {
-			wait = n.cfg.FlushWindow // linger briefly for coalescing
-		}
-		batch, st := out.popBatch(wait)
+		// Nothing buffered: block until work arrives. Otherwise poll, and
+		// flush as soon as the queue is idle.
+		batch, st := out.popBatch(!buffered)
 		switch st {
 		case popClosed:
 			return
-		case popTimeout:
+		case popIdle:
 			// Queue idle: push the buffered burst to the kernel.
 			if bw != nil {
 				if err := bw.Flush(); err != nil {

@@ -281,17 +281,12 @@ func TestBatchFrameDeliversInnerInOrder(t *testing.T) {
 	}
 }
 
-// TestFlushWindowCoalescesAndPreservesOrder floods one destination queue
-// while a FlushWindow is configured and verifies every frame arrives, in
-// order — the buffered writer must not drop or reorder across flush
-// boundaries or reconnects.
-func TestFlushWindowCoalescesAndPreservesOrder(t *testing.T) {
-	a, err := New(Config{ID: 0, Listen: "127.0.0.1:0", FlushWindow: 200 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b := newNode(t, 1)
+// TestBacklogCoalescesAndPreservesOrder floods one destination queue and
+// verifies every frame arrives, in order — the buffered writer must not drop
+// or reorder across flush boundaries — and that a queued backlog leaves the
+// queue as one burst (one buffered write), not one write per frame.
+func TestBacklogCoalescesAndPreservesOrder(t *testing.T) {
+	a, b := newNode(t, 0), newNode(t, 1)
 	connect(a, b)
 
 	const frames = 500
@@ -305,5 +300,28 @@ func TestFlushWindowCoalescesAndPreservesOrder(t *testing.T) {
 		if want := fmt.Sprintf("f%04d", i); string(m.Payload) != want {
 			t.Fatalf("frame %d: got %q want %q", i, m.Payload, want)
 		}
+	}
+
+	// The send loop writes once per popBatch result. With no consumer
+	// running, the whole backlog comes back from one call, in queue order,
+	// and the next poll reports the queue idle — the flush point.
+	out := &outgoing{signal: make(chan struct{}, 1)}
+	for i := 0; i < frames; i++ {
+		f := transport.GetFrame()
+		f.Buf = append(f.Buf, byte(i), byte(i>>8))
+		out.queue = append(out.queue, f)
+	}
+	batch, st := out.popBatch(false)
+	if st != popFrames || len(batch) != frames {
+		t.Fatalf("popBatch = %d frames (status %d), want the whole backlog of %d in one burst", len(batch), st, frames)
+	}
+	for i, f := range batch {
+		if int(f.Buf[0])|int(f.Buf[1])<<8 != i {
+			t.Fatalf("burst frame %d out of queue order", i)
+		}
+		f.Release()
+	}
+	if _, st := out.popBatch(false); st != popIdle {
+		t.Fatalf("second popBatch status %d, want popIdle", st)
 	}
 }

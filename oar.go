@@ -120,19 +120,6 @@ type ClusterOptions struct {
 	// EpochRequestLimit bounds the optimistic epoch length (Section 5.3
 	// Remark); 0 disables periodic garbage collection.
 	EpochRequestLimit int
-	// BatchWindow is how long the sequencer may hold pending requests to
-	// grow an ordering batch. 0 (default) batches adaptively with no added
-	// latency: everything that arrived in one event-loop round is ordered as
-	// one message. A positive window trades latency for larger batches.
-	BatchWindow time.Duration
-	// MaxBatch caps requests per ordering message (0 = a generous default;
-	// 1 = one ordering message per request, the unbatched behavior).
-	MaxBatch int
-	// AutoTune replaces the static send-side hold with a closed-loop
-	// controller that continuously adjusts the effective batch window
-	// between a latency floor (idle: flush immediately) and a throughput
-	// ceiling. Requires batching (BatchWindow >= 0).
-	AutoTune bool
 	// WALRoot, when non-empty, gives every replica a write-ahead log under
 	// that directory (one subdirectory per shard and replica): definitive
 	// deliveries and epoch boundaries are fsynced per closed epoch and
@@ -167,9 +154,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Machine:           opts.Machine,
 		FDTimeout:         opts.SuspicionTimeout,
 		EpochRequestLimit: opts.EpochRequestLimit,
-		BatchWindow:       opts.BatchWindow,
-		MaxBatch:          opts.MaxBatch,
-		AutoTune:          opts.AutoTune,
 		WALRoot:           opts.WALRoot,
 		SnapshotEvery:     opts.SnapshotEvery,
 		Net: memnet.Options{
@@ -262,10 +246,6 @@ type Stats struct {
 	// is the server-side coalescing factor (messages per frame).
 	BatchFrames  uint64
 	BatchedSends uint64
-	// EffectiveBatchWindow is the send-side hold window in effect at
-	// snapshot time: the AutoTune controller's current output (maximum
-	// across replicas), or the static BatchWindow.
-	EffectiveBatchWindow time.Duration
 	// ReadsServed counts read-only requests answered on the read fast path
 	// (inline from a replica's prefix, zero ordering messages);
 	// ReadFallbacks counts reads the replicas pushed onto the ordered path.
@@ -288,21 +268,20 @@ func (c *Cluster) Stats() Stats {
 	s := c.inner.TotalStats()
 	n := c.inner.NetTotal()
 	return Stats{
-		Delivered:            s.Delivered,
-		OptDelivered:         s.OptDelivered,
-		OptUndelivered:       s.OptUndelivered,
-		ADelivered:           s.ADelivered,
-		Epochs:               s.Epochs,
-		SeqOrdersSent:        s.SeqOrdersSent,
-		FramesSent:           n.MessagesSent,
-		BatchedMessages:      n.BatchedMessages,
-		BatchFrames:          s.BatchFrames,
-		BatchedSends:         s.BatchedSends,
-		EffectiveBatchWindow: time.Duration(s.BatchWindowNS),
-		ReadsServed:          s.ReadsServed,
-		ReadFallbacks:        s.ReadFallbacks,
-		Latency:              toLatencyStats(c.inner.Latency()),
-		ReadLatency:          toLatencyStats(c.inner.ReadLatency()),
+		Delivered:       s.Delivered,
+		OptDelivered:    s.OptDelivered,
+		OptUndelivered:  s.OptUndelivered,
+		ADelivered:      s.ADelivered,
+		Epochs:          s.Epochs,
+		SeqOrdersSent:   s.SeqOrdersSent,
+		FramesSent:      n.MessagesSent,
+		BatchedMessages: n.BatchedMessages,
+		BatchFrames:     s.BatchFrames,
+		BatchedSends:    s.BatchedSends,
+		ReadsServed:     s.ReadsServed,
+		ReadFallbacks:   s.ReadFallbacks,
+		Latency:         toLatencyStats(c.inner.Latency()),
+		ReadLatency:     toLatencyStats(c.inner.ReadLatency()),
 	}
 }
 
@@ -336,11 +315,6 @@ type ServerOptions struct {
 	SuspicionTimeout time.Duration
 	// EpochRequestLimit as in ClusterOptions.
 	EpochRequestLimit int
-	// BatchWindow and MaxBatch as in ClusterOptions.
-	BatchWindow time.Duration
-	MaxBatch    int
-	// AutoTune as in ClusterOptions.
-	AutoTune bool
 	// WALDir, when non-empty, makes the replica durable: definitive
 	// deliveries and epoch boundaries are written to a segmented,
 	// CRC-checked write-ahead log there, fsynced once per closed epoch. A
@@ -375,10 +349,6 @@ type ServerReport struct {
 	// protocol messages they carried (their ratio is messages per frame).
 	BatchFrames  uint64 `json:"batch_frames"`
 	BatchedSends uint64 `json:"batched_sends"`
-	// BatchWindowNS is the effective send-side hold window in nanoseconds
-	// at snapshot time (the AutoTune controller's output, or the static
-	// window).
-	BatchWindowNS int64 `json:"batch_window_ns"`
 	// ReadsServed counts reads answered on the fast path (zero ordering
 	// messages); ReadFallbacks counts reads pushed onto the ordered path.
 	ReadsServed   uint64 `json:"reads_served"`
@@ -448,9 +418,6 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 		Detector:          fd.NewTimeout(opts.SuspicionTimeout, group, time.Now()),
 		HeartbeatInterval: opts.SuspicionTimeout / 4,
 		EpochRequestLimit: opts.EpochRequestLimit,
-		BatchWindow:       opts.BatchWindow,
-		MaxBatch:          opts.MaxBatch,
-		AutoTune:          opts.AutoTune,
 		WALDir:            opts.WALDir,
 		SnapshotEvery:     opts.SnapshotEvery,
 		Incarnation:       incarnation,
@@ -478,7 +445,6 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 				SeqOrdersSent:  s.SeqOrdersSent,
 				BatchFrames:    s.BatchFrames,
 				BatchedSends:   s.BatchedSends,
-				BatchWindowNS:  s.BatchWindowNS,
 				ReadsServed:    s.ReadsServed,
 				ReadFallbacks:  s.ReadFallbacks,
 				FramesSent:     ns.FramesSent,
