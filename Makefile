@@ -55,7 +55,7 @@ flake-gate:
 	@set -e; for p in 1 2 4; do \
 		echo "==> GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p go test -count=20 \
-			-run 'TestShardedEndToEnd|TestReadNeverAdoptsDoomedPrefix|TestExtraTracerObservesScenario|TestE13QualitativeShape' \
+			-run 'TestShardedEndToEnd|TestReadFastPathHappyPath|TestReadNeverAdoptsDoomedPrefix|TestExtraTracerObservesScenario|TestE13QualitativeShape' \
 			./internal/cluster ./internal/core ./internal/experiments; \
 	done
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rmcast"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // Defaults for replica event loops, shared by every backend.
@@ -87,13 +86,10 @@ type ReplicaConfig struct {
 	// WALDir enables the write-ahead log of a protocol that journals (OAR):
 	// definitive deliveries and epoch markers are persisted there and
 	// replayed on the next boot. Empty disables durability (the replica
-	// still serves peer catch-up from its in-memory history). WALSync
-	// selects the fsync policy: SyncAlways syncs once per closed epoch,
-	// before the conservative replies ship, so every fully-acked command is
-	// on disk; SyncNever leaves flushing to the OS (crash-recovery then
-	// leans on peer catch-up for the tail).
-	WALDir  string
-	WALSync wal.SyncPolicy
+	// still serves peer catch-up from its in-memory history). The log is
+	// synced once per protocol boundary (OAR: per closed epoch), before the
+	// conservative replies ship, so every fully-acked command is on disk.
+	WALDir string
 	// SnapshotEvery takes a state snapshot every that many closed epochs
 	// (0 = DefaultSnapshotEvery, negative = never). Snapshots are taken at
 	// protocol boundaries — nothing optimistic is applied there, so the
@@ -129,6 +125,10 @@ type InvokerConfig struct {
 	Tracer Tracer
 	// Unbatched disables the client-side send-coalescing layer.
 	Unbatched bool
+	// FirstSeq numbers the invoker's first request. Replicas filter request
+	// ids at most once for ever, so a client that reuses an earlier
+	// instance's ID must start from a range that instance did not use.
+	FirstSeq uint64
 }
 
 // Replica is one running replica of an ordering protocol: an event loop the

@@ -199,6 +199,10 @@ func TestRuntimeServesReads(t *testing.T) {
 	if !c.Quiesce(10 * time.Second) {
 		t.Fatal("cluster did not quiesce")
 	}
+	// A replica can deliver the sequencer's order before it handles its own
+	// copy of the read, so the delivery positions settle before the last
+	// fallback is counted: wait for the count, then check it.
+	cluster.WaitUntil(10*time.Second, func() bool { return c.TotalStats().ReadFallbacks >= 3 })
 	st := c.TotalStats()
 	if st.ReadsServed != 3 || st.ReadFallbacks != 3 || st.ReadReissues != 0 {
 		t.Errorf("ReadsServed/ReadFallbacks/ReadReissues = %d/%d/%d, want 3/3/0", st.ReadsServed, st.ReadFallbacks, st.ReadReissues)

@@ -122,6 +122,7 @@ func NewClient(cfg InvokerConfig, adopt WriteRule, newSubmit func(send SendFunc)
 		cfg:        cfg,
 		n:          len(cfg.Group),
 		adopt:      adopt,
+		nextSeq:    cfg.FirstSeq,
 		pending:    make(map[proto.RequestID]*call),
 		done:       make(chan struct{}),
 		senderDone: make(chan struct{}),

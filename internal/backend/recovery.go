@@ -217,7 +217,7 @@ func (rt *Runtime) journal(req proto.Request) {
 }
 
 // journalEpoch appends the marker of the epoch that just closed (Epoch-1)
-// and syncs when the policy demands it.
+// and syncs the log.
 func (rt *Runtime) journalEpoch() {
 	if rt.log == nil {
 		return
@@ -229,10 +229,8 @@ func (rt *Runtime) journalEpoch() {
 			panic(fmt.Sprintf("replica %v: wal append: %v", rt.Cfg.ID, err))
 		}
 	}
-	if rt.Cfg.WALSync == wal.SyncAlways {
-		if err := rt.log.Sync(); err != nil {
-			panic(fmt.Sprintf("replica %v: wal sync: %v", rt.Cfg.ID, err))
-		}
+	if err := rt.log.Sync(); err != nil {
+		panic(fmt.Sprintf("replica %v: wal sync: %v", rt.Cfg.ID, err))
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rmcast"
 	"repro/internal/shard"
-	"repro/internal/wal"
 
 	// The built-in backends register themselves at init time.
 	_ "repro/internal/baseline/ctab"
@@ -88,11 +87,9 @@ type Options struct {
 	// shard is a complete N-replica group of the selected backend on its own
 	// in-memory network; clients route commands by key hash.
 	Shards int
-	// ShardKey extracts the routing key of a command (default: the
-	// conventional extractor for Machine, shard.MachineKey).
-	ShardKey shard.KeyFunc
 	// Machine names the replicated state machine (see app.Names). Default
-	// "recorder".
+	// "recorder". Clients route a command by its key, as shard.MachineKey
+	// extracts it for Machine.
 	Machine string
 	// Net configures each shard's in-memory network.
 	Net memnet.Options
@@ -109,9 +106,8 @@ type Options struct {
 	// Unbatched disables the batching layer in every replica and client of
 	// every backend (the E8 control); see backend.ReplicaConfig.
 	Unbatched bool
-	// TickInterval and HeartbeatInterval tune the server loops (defaults
-	// from backend).
-	TickInterval      time.Duration
+	// HeartbeatInterval is the replicas' heartbeat gap (default from
+	// backend).
 	HeartbeatInterval time.Duration
 	// Tracer observes all protocol events (e.g. a *check.Checker). With
 	// Shards > 1 prefer TracerFor: each group has its own independent total
@@ -126,9 +122,6 @@ type Options struct {
 	// replicas in-memory — Restart still works, recovering purely over the
 	// catch-up protocol.
 	WALRoot string
-	// WALSync selects the fsync policy of replica logs (default
-	// wal.SyncAlways: sync once per closed epoch).
-	WALSync wal.SyncPolicy
 	// SnapshotEvery is the replica snapshot cadence in closed epochs
 	// (0 = backend default, negative disables).
 	SnapshotEvery int
@@ -320,10 +313,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.FDTimeout == 0 {
 		opts.FDTimeout = 25 * time.Millisecond
 	}
-	if opts.ShardKey == nil {
-		opts.ShardKey = shard.MachineKey(opts.Machine)
-	}
-	router, err := shard.NewRouter(opts.Shards, opts.ShardKey)
+	router, err := shard.NewRouter(opts.Shards, shard.MachineKey(opts.Machine))
 	if err != nil {
 		return nil, err
 	}
@@ -427,13 +417,11 @@ func (c *Cluster) buildReplica(ctx context.Context, sg *shardGroup, i int, machi
 		Machine:           machine,
 		Detector:          detector,
 		RelayMode:         opts.RelayMode,
-		TickInterval:      opts.TickInterval,
 		HeartbeatInterval: hbInterval,
 		EpochRequestLimit: opts.EpochRequestLimit,
 		Unbatched:         opts.Unbatched,
 		Tracer:            sg.tracer,
 		WALDir:            walDir,
-		WALSync:           opts.WALSync,
 		SnapshotEvery:     opts.SnapshotEvery,
 		Recovering:        recovering,
 		Incarnation:       incarnation,

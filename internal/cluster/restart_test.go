@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/wal"
 )
 
 // driveRestartUnderLoad runs the canonical crash/restart scenario against a
@@ -88,7 +87,6 @@ func TestRestartUnderLoad(t *testing.T) {
 			}
 			if proto == OAR {
 				opts.WALRoot = t.TempDir()
-				opts.WALSync = wal.SyncAlways
 			}
 			c, err := New(opts)
 			if err != nil {
@@ -124,7 +122,6 @@ func TestRestartReplaysWAL(t *testing.T) {
 		Machine:           "kv",
 		EpochRequestLimit: 4,
 		WALRoot:           t.TempDir(),
-		WALSync:           wal.SyncAlways,
 		SnapshotEvery:     2,
 		Tracer:            ck,
 	})

@@ -27,9 +27,9 @@ func (oarBackend) NewReplica(cfg backend.ReplicaConfig) (backend.Replica, error)
 // individual weight.
 func (oarBackend) NewInvoker(cfg backend.InvokerConfig) (backend.Invoker, error) {
 	return backend.NewClient(cfg, majorityWeight(len(cfg.Group)), func(send backend.SendFunc) backend.SubmitFunc {
-		// The rmcast endpoint is guarded by the client lock: the client
-		// calls submit under it.
-		rm := rmcast.New(rmcast.Config{Self: cfg.ID, Group: cfg.Group, GroupID: cfg.GroupID, Send: send})
+		// The rmcast endpoint is guarded by the client lock (the client calls
+		// submit under it) and numbers multicasts from the client's range.
+		rm := rmcast.New(rmcast.Config{Self: cfg.ID, Group: cfg.Group, GroupID: cfg.GroupID, Send: send, FirstSeq: cfg.FirstSeq})
 		return func(id proto.RequestID, cmd []byte) {
 			// Line 2: R-multicast (m, Π). The inner request is encoded via a
 			// pooled writer: Multicast copies it into the (owned) wrapper

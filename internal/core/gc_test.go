@@ -16,8 +16,8 @@ func footprint(c *cluster.Cluster, i int) core.Footprint {
 }
 
 // TestBookkeepingBoundedByEpochGC is the regression test for the unbounded
-// per-request state growth: before the fix, rOrder and payloads kept every
-// request ever R-delivered, forever. With epoch GC on (EpochRequestLimit),
+// per-request state growth: before the fix, the replica kept every request
+// ever R-delivered, forever. With epoch GC on (EpochRequestLimit),
 // everything a replica buffers for a request must be released once the
 // request is A-delivered, so the live footprint after a long run stays
 // bounded by the in-flight window rather than the run length.
@@ -51,17 +51,17 @@ func TestBookkeepingBoundedByEpochGC(t *testing.T) {
 	maxLive := 3 * limit
 	for i := 0; i < 3; i++ {
 		fp := footprint(c, i)
-		if fp.ADelivered < requests-limit || fp.Payloads > maxLive || fp.Pending != 0 {
+		if fp.ADelivered < requests-limit || fp.Live > maxLive || fp.Pending != 0 {
 			t.Fatalf("p%d: per-request bookkeeping did not drain after A-delivery: %+v", i, fp)
 		}
 	}
 	for i := 0; i < 3; i++ {
 		fp := footprint(c, i)
-		if fp.ROrder > maxLive || fp.Payloads > maxLive || fp.ODelivered > maxLive {
+		if fp.Live > maxLive || fp.ODelivered > maxLive {
 			t.Errorf("p%d: live footprint not bounded by the epoch limit: %+v", i, fp)
 		}
-		if fp.ROrder >= requests/2 {
-			t.Errorf("p%d: rOrder grew with the run length: %+v", i, fp)
+		if fp.Live >= requests/2 {
+			t.Errorf("p%d: the epoch table grew with the run length: %+v", i, fp)
 		}
 	}
 	verifyAll(t, ck, true)

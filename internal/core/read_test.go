@@ -35,6 +35,12 @@ func TestReadFastPathHappyPath(t *testing.T) {
 	}
 	w := invoke(t, cli, "set a 1")
 
+	// The write was adopted once a majority delivered it; the last replica's
+	// delivery may still be in flight. Sample the delivery count only once
+	// every replica has caught up, so only the read could move it.
+	if !c.Quiesce(testTimeout) {
+		t.Fatal("cluster did not quiesce after the write")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 	before := c.TotalStats().Delivered

@@ -142,7 +142,7 @@ func TestPooledReplyBufferReuseSafety(t *testing.T) {
 
 // TestPooledRequestBufferReuseSafety is the server-side twin: a request
 // decoded zero-copy from a pooled SeqOrder frame is retained in the
-// replica's payloads map (Task 0 piggyback) long after the frame is
+// replica's epoch table (Task 0 piggyback) long after the frame is
 // recycled. The test delivers an ordering message for a future epoch — the
 // path that buffers both the requests and the order itself — then scribbles
 // the frame and verifies the server's later re-materialization of the
@@ -186,11 +186,11 @@ func TestPooledRequestBufferReuseSafety(t *testing.T) {
 		fbuf[i] = 0x55
 	}
 
-	stored, ok := srv.payloads[req.ID]
+	i, ok := srv.at[req.ID]
 	if !ok {
 		t.Fatal("request not buffered by the future-epoch ordering path")
 	}
-	if !bytes.Equal(stored.Cmd, want) {
+	if stored := srv.live[i].req; !bytes.Equal(stored.Cmd, want) {
 		t.Fatalf("buffered command %q corrupted by buffer reuse, want %q", stored.Cmd, want)
 	}
 	buffered := srv.seqOrderBuf[2]

@@ -20,7 +20,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cnsvorder"
 	"repro/internal/consensus"
-	"repro/internal/mseq"
 	"repro/internal/proto"
 	"repro/internal/rmcast"
 )
@@ -40,26 +39,22 @@ type Server struct {
 	n  int
 	rm *rmcast.RMcast
 
-	// Figure 6 state. rOrder holds only live requests: entries are pruned
-	// (with payloads) once a request is A-delivered, so the per-request
-	// footprint is bounded by the in-flight window, not the run length.
-	// pending and oSet are incremental views kept in sync with it:
-	// pending == (rOrder ⊖ A_delivered) ⊖ oDelivered and oSet == set(oDelivered),
-	// replacing the per-call full scans of the original implementation.
-	rOrder     mseq.Seq[proto.RequestID]         // R_delivered, not yet A-delivered (arrival order)
-	payloads   map[proto.RequestID]proto.Request // request bodies by ID; doubles as the set view of rOrder
-	oDelivered mseq.Seq[proto.RequestID]         // O_delivered (current epoch)
-	oSet       map[proto.RequestID]struct{}      // set view of oDelivered
-	pending    mseq.Seq[proto.RequestID]         // unordered live requests, arrival order
-	undoStack  []func()                          // undo closures, aligned with oDelivered
+	// Figure 6 state, as one epoch table: live is R_delivered ⊖ A_delivered
+	// in arrival order, with payloads, and at indexes it. The slots that are
+	// not done are O_notdelivered; the sequencer orders in arrival order and
+	// nothing else delivers there, so at the sequencer they are exactly
+	// live[ordered:]. Closing the epoch keeps only those slots, so the
+	// per-request footprint is bounded by the in-flight window, not the run
+	// length.
+	live       []slot
+	at         map[proto.RequestID]int
+	ordered    int      // the sequencer's cursor into live
+	oDelivered []int    // O_delivered (current epoch), as slots of live
+	undoStack  []func() // undo closures, aligned with oDelivered
 	inPhase2   bool
-
-	// orderDirty: pending grew since the last Task 1a decision (EndRound).
-	orderDirty bool
+	phase2Sent bool // this epoch's PhaseII was R-broadcast (Task 1c guard)
 
 	// Epoch/consensus bookkeeping.
-	phase2Sent    map[uint64]struct{} // epochs whose PhaseII we broadcast (Task 1c guard)
-	phase2Started map[uint64]struct{}
 	pendingPhase2 map[uint64]struct{}         // PhaseII(k') for future epochs
 	seqOrderBuf   map[uint64][]proto.SeqOrder // ordering messages for future epochs
 	cons          map[uint64]*consensus.Instance
@@ -90,14 +85,17 @@ type Server struct {
 
 var _ backend.Protocol = (*Server)(nil)
 
+// slot is one request of the epoch table.
+type slot struct {
+	req  proto.Request
+	done bool // Opt-delivered this epoch, or A-delivered at its close
+}
+
 // NewServer validates cfg and creates a replica.
 func NewServer(cfg backend.ReplicaConfig) (*Server, error) {
 	s := &Server{
 		n:             len(cfg.Group),
-		payloads:      make(map[proto.RequestID]proto.Request),
-		oSet:          make(map[proto.RequestID]struct{}),
-		phase2Sent:    make(map[uint64]struct{}),
-		phase2Started: make(map[uint64]struct{}),
+		at:            make(map[proto.RequestID]int),
 		pendingPhase2: make(map[uint64]struct{}),
 		seqOrderBuf:   make(map[uint64][]proto.SeqOrder),
 		cons:          make(map[uint64]*consensus.Instance),
@@ -204,43 +202,45 @@ func (s *Server) Submit(req proto.Request) {
 	}
 }
 
-// bufferRequest is Task 0: R_delivered ← R_delivered ⊕ {m}. Requests that
-// already reached A_delivered (whose live bookkeeping has been pruned) are
-// ignored, preserving at-most-once across the garbage collection.
+// bufferRequest is Task 0: R_delivered ← R_delivered ⊕ {m}. It returns the
+// request's slot in the epoch table, or -1 for a request that already reached
+// A_delivered (a closed epoch dropped its slot): ignoring those preserves
+// at-most-once across the garbage collection.
 //
-// The payloads map retains the request past this frame's handling, so the
-// command is cloned here (copy-on-retain; req.Cmd usually aliases the
-// inbound frame). Duplicates — every eager-relay copy after the first —
-// return before the clone, so deduplication costs no allocation.
-func (s *Server) bufferRequest(req proto.Request) {
+// The table retains the request past this frame's handling, so the command
+// is cloned here (copy-on-retain; req.Cmd usually aliases the inbound
+// frame). Duplicates — every eager-relay copy after the first — return
+// before the clone, so deduplication costs no allocation.
+func (s *Server) bufferRequest(req proto.Request) int {
 	if _, done := s.Delivered[req.ID]; done {
-		return
+		return -1
 	}
-	if _, known := s.payloads[req.ID]; known {
-		return
+	if i, known := s.at[req.ID]; known {
+		return i
 	}
-	s.payloads[req.ID] = req.Clone()
-	s.rOrder = append(s.rOrder, req.ID)
-	s.pending = append(s.pending, req.ID)
-	s.orderDirty = true
+	s.at[req.ID] = len(s.live)
+	s.live = append(s.live, slot{req: req.Clone()})
+	return len(s.live) - 1
 }
 
-// notDelivered is (R_delivered ⊖ A_delivered) ⊖ O_delivered (Figure 6, lines
-// 9 and 23). It is maintained incrementally — appended in bufferRequest,
-// shrunk as requests are Opt-delivered, rebuilt at epoch close — so reading
-// it costs O(1) instead of the original O(|R_delivered|) scan with a full
-// O_delivered set rebuild per call.
-func (s *Server) notDelivered() mseq.Seq[proto.RequestID] {
-	return s.pending
+// notDelivered is (R_delivered ⊖ A_delivered) ⊖ O_delivered (Figure 6, line
+// 23) in arrival order: the table's slots that are not done.
+func (s *Server) notDelivered() []proto.Request {
+	var reqs []proto.Request
+	for _, sl := range s.live {
+		if !sl.done {
+			reqs = append(reqs, sl.req)
+		}
+	}
+	return reqs
 }
 
 // EndRound implements backend.Protocol: Task 1a for whatever the current
 // event-loop round accumulated — a round is the batch.
 func (s *Server) EndRound() {
-	if !s.orderDirty || s.inPhase2 || s.sequencer() != s.Cfg.ID {
+	if s.ordered == len(s.live) || s.inPhase2 || s.sequencer() != s.Cfg.ID {
 		return
 	}
-	s.orderDirty = false
 	s.maybeOrder()
 }
 
@@ -254,31 +254,20 @@ func (s *Server) maybeOrder() {
 	if s.observing {
 		return // no ordering in the join epoch; see handleSeqOrder
 	}
-	for !s.inPhase2 && s.sequencer() == s.Cfg.ID && !s.pending.IsEmpty() {
-		chunk := s.pending
-		if len(chunk) > maxBatch {
-			chunk = chunk[:maxBatch]
-		}
+	for !s.inPhase2 && s.sequencer() == s.Cfg.ID && s.ordered < len(s.live) {
+		end := min(s.ordered+maxBatch, len(s.live))
 		// Materialize into the reusable scratch slice (the payload bodies
-		// are owned by the payloads map); SendOrder encodes into the
-		// runtime's scratch buffer — the steady-state ordering path
-		// allocates nothing.
+		// are owned by the table); SendOrder encodes into the runtime's
+		// scratch buffer — the steady-state ordering path allocates nothing.
 		s.reqScratch = s.reqScratch[:0]
-		for _, id := range chunk {
-			s.reqScratch = append(s.reqScratch, s.payloads[id])
+		for _, sl := range s.live[s.ordered:end] {
+			s.reqScratch = append(s.reqScratch, sl.req)
 		}
+		s.ordered = end
 		order := proto.SeqOrder{Epoch: s.Epoch, Reqs: s.reqScratch}
 		s.SendOrder(order)
-		s.optDeliverBatch(order) // removes the chunk from pending
+		s.optDeliverBatch(order)
 	}
-}
-
-func (s *Server) materialize(ids mseq.Seq[proto.RequestID]) []proto.Request {
-	reqs := make([]proto.Request, 0, len(ids))
-	for _, id := range ids {
-		reqs = append(reqs, s.payloads[id])
-	}
-	return reqs
 }
 
 // handleSeqOrder is the receiving half of Task 1b.
@@ -296,18 +285,12 @@ func (s *Server) handleSeqOrder(order proto.SeqOrder) {
 		}
 		s.seqOrderBuf[order.Epoch] = append(s.seqOrderBuf[order.Epoch], order.Clone())
 		return
-	case s.inPhase2:
-		// Orderings of the current epoch arriving after PhaseII are not
-		// Opt-delivered; their messages stay in R_delivered and will be
-		// re-ordered (by the next sequencer or the consensus merge).
-		for _, req := range order.Reqs {
-			s.bufferRequest(req)
-		}
-		return
-	case s.observing:
-		// Join epoch after recovery: orderings sent before our restart are
-		// lost, so Opt-delivering this one would assign positions (and claim
-		// the sequencer's reply weight) for a prefix we never saw. Keep the
+	case s.inPhase2 || s.observing:
+		// Not Opt-delivered: after PhaseII the messages stay in R_delivered
+		// for the next sequencer or the consensus merge to re-order; in the
+		// join epoch after recovery, orderings sent before our restart are
+		// lost, so Opt-delivering would assign positions (and claim the
+		// sequencer's reply weight) for a prefix we never saw. Keep the
 		// payloads; the epoch-closing consensus delivers them definitively.
 		for _, req := range order.Reqs {
 			s.bufferRequest(req)
@@ -329,24 +312,19 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 	} else {
 		weight = proto.WeightOf(s.Cfg.ID, seq)
 	}
-	var delivered mseq.Seq[proto.RequestID]
 	for _, req := range order.Reqs {
-		if _, done := s.Delivered[req.ID]; done {
-			continue
-		}
-		if _, done := s.oSet[req.ID]; done {
-			continue
-		}
 		// The ordering message carries full payloads, so we may learn the
 		// request here before its R-multicast copy arrives (dedup in Task 0).
-		s.bufferRequest(req)
+		i := s.bufferRequest(req)
+		if i < 0 || s.live[i].done {
+			continue // A-delivered in an earlier epoch, or Opt-delivered in this one
+		}
+		s.live[i].done = true
 
 		result, undo := s.Cfg.Machine.Apply(req.Cmd)
 		s.Pos++
-		s.oDelivered = append(s.oDelivered, req.ID)
-		s.oSet[req.ID] = struct{}{}
+		s.oDelivered = append(s.oDelivered, i)
 		s.undoStack = append(s.undoStack, undo)
-		delivered = append(delivered, req.ID)
 		s.Count.OptDelivered.Add(1)
 		s.Cfg.Tracer.OptDeliver(s.Cfg.ID, s.Epoch, req.ID, s.Pos, result)
 		s.SendReply(req.ID.Client, proto.Reply{
@@ -358,21 +336,11 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 			Result: result,
 		})
 	}
-	if !delivered.IsEmpty() {
-		// Fast path: at the sequencer (and usually at replicas, which see
-		// orders in arrival order) the delivered batch is exactly a prefix
-		// of pending, so the subtraction is a slice-off instead of a scan.
-		if s.pending.HasPrefix(delivered) {
-			s.pending = s.pending[len(delivered):].Clone()
-		} else {
-			s.pending = mseq.Minus(s.pending, delivered)
-		}
-	}
 
 	// Garbage collection (Remark, Section 5.3): the sequencer periodically
 	// forces phase 2 to truncate O_delivered.
 	if s.Cfg.EpochRequestLimit > 0 && s.Cfg.ID == seq && !s.inPhase2 &&
-		s.oDelivered.Len() >= s.Cfg.EpochRequestLimit {
+		len(s.oDelivered) >= s.Cfg.EpochRequestLimit {
 		s.broadcastPhaseII()
 	}
 }
@@ -380,10 +348,10 @@ func (s *Server) optDeliverBatch(order proto.SeqOrder) {
 // broadcastPhaseII is the sending half of Task 1c (also used by the GC
 // path): R-broadcast (k, PhaseII) to all.
 func (s *Server) broadcastPhaseII() {
-	if _, sent := s.phase2Sent[s.Epoch]; sent {
+	if s.phase2Sent {
 		return
 	}
-	s.phase2Sent[s.Epoch] = struct{}{}
+	s.phase2Sent = true
 	inner := proto.MarshalPhaseII(s.Cfg.GroupID, proto.PhaseII{Epoch: s.Epoch})
 	if local, ok := s.rm.Multicast(inner); ok {
 		s.handleRDelivery(local)
@@ -399,10 +367,9 @@ func (s *Server) handlePhaseII(k uint64) {
 		s.pendingPhase2[k] = struct{}{}
 		return
 	}
-	if _, started := s.phase2Started[k]; started {
+	if s.inPhase2 {
 		return
 	}
-	s.phase2Started[k] = struct{}{}
 	s.inPhase2 = true
 
 	// Lazy relay: agreement on buffered R-multicasts matters exactly now.
@@ -411,10 +378,11 @@ func (s *Server) handlePhaseII(k uint64) {
 	}
 
 	// Figure 6 lines 23–24: propose (O_delivered, O_notdelivered).
-	s.ownInput = cnsvorder.Input{
-		Dlv:    s.materialize(s.oDelivered),
-		NotDlv: s.materialize(s.notDelivered()),
+	dlv := make([]proto.Request, len(s.oDelivered))
+	for j, i := range s.oDelivered {
+		dlv[j] = s.live[i].req
 	}
+	s.ownInput = cnsvorder.Input{Dlv: dlv, NotDlv: s.notDelivered()}
 	inst := s.instance(k)
 	inst.Start(s.ownInput.Marshal())
 	// The decision may already be known (we were slow; others decided).
@@ -474,14 +442,14 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	// Lines 25–26: Opt-undeliver Bad, last delivered first (footnote 2).
 	// Undo legality guarantees Bad is a suffix of O_delivered.
 	for i := len(res.Bad) - 1; i >= 0; i-- {
-		top := s.oDelivered.Len() - 1
-		if top < 0 || s.oDelivered[top] != res.Bad[i] {
-			panic(fmt.Sprintf("oar server %v epoch %d: Bad %v is not the O_delivered suffix %v",
-				s.Cfg.ID, k, res.Bad, s.oDelivered))
+		top := len(s.oDelivered) - 1
+		if top < 0 || s.live[s.oDelivered[top]].req.ID != res.Bad[i] {
+			panic(fmt.Sprintf("oar server %v epoch %d: Bad %v is not a suffix of O_delivered %v",
+				s.Cfg.ID, k, res.Bad, s.ownInput.Dlv))
 		}
 		s.undoStack[top]()
 		s.undoStack = s.undoStack[:top]
-		delete(s.oSet, s.oDelivered[top])
+		s.live[s.oDelivered[top]].done = false
 		s.oDelivered = s.oDelivered[:top]
 		s.Pos--
 		s.Count.OptUndelivered.Add(1)
@@ -492,7 +460,10 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	// (Replies share the round's per-destination batch frames.)
 	full := proto.FullWeight(s.n)
 	for _, req := range res.New {
-		s.bufferRequest(req) // consensus may carry payloads we never received
+		// A payload only consensus brought us has no slot and needs none.
+		if i, ok := s.at[req.ID]; ok {
+			s.live[i].done = true
+		}
 		result, _ := s.Cfg.Machine.Apply(req.Cmd)
 		s.Pos++
 		s.Count.ADelivered.Add(1)
@@ -510,39 +481,39 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	// Lines 30–32: commit the epoch — the kept optimistic prefix
 	// (O_delivered ⊖ Bad, Bad already removed) followed by New — to the
 	// at-most-once filter, the catch-up tail and the WAL, while the payloads
-	// of the kept prefix are still in the bookkeeping (the GC below prunes
-	// them).
-	for _, id := range s.oDelivered {
-		s.Commit(s.payloads[id])
+	// of the kept prefix are still in the table (closing it drops them).
+	for _, i := range s.oDelivered {
+		s.Commit(s.live[i].req)
 	}
 	for _, req := range res.New {
 		s.Commit(req)
 	}
 	s.Cfg.Tracer.EpochClose(s.Cfg.ID, k, s.ownInput, res)
 
-	// Garbage-collect the per-request bookkeeping of everything that just
-	// became definitive: the payloads and rOrder slots of A-delivered
-	// requests are never needed again (re-arrivals are rejected by the
-	// Delivered guard in bufferRequest). What survives the compaction —
-	// exactly the live, unordered requests — is the next epoch's pending
-	// sequence.
-	live := s.rOrder[:0]
-	for _, id := range s.rOrder {
-		if _, done := s.Delivered[id]; done {
-			delete(s.payloads, id)
-			continue
+	// Close the epoch table. Every done slot was just A-delivered — the kept
+	// prefix or New — and is never needed again: re-arrivals are rejected by
+	// the Delivered guard in bufferRequest. The survivors, the undone and the
+	// unordered requests, are compacted in place in arrival order and start
+	// the next epoch unordered; the closed epoch's index is dropped whole.
+	n := 0
+	for _, sl := range s.live {
+		if !sl.done {
+			s.live[n] = sl
+			n++
 		}
-		live = append(live, id)
 	}
-	s.rOrder = live
-	s.pending = live.Clone()
-	s.orderDirty = !s.pending.IsEmpty()
-
-	s.oDelivered = nil
-	s.oSet = make(map[proto.RequestID]struct{})
-	s.undoStack = nil
+	clear(s.live[n:]) // release the dropped payloads
+	s.live = s.live[:n]
+	s.at = make(map[proto.RequestID]int, n)
+	for i, sl := range s.live {
+		s.at[sl.req.ID] = i
+	}
+	s.ordered = 0
+	clear(s.undoStack)
+	s.oDelivered, s.undoStack = s.oDelivered[:0], s.undoStack[:0]
 	s.ownInput = cnsvorder.Input{}
 	s.inPhase2 = false
+	s.phase2Sent = false
 	s.Epoch = k + 1
 	s.Count.Epochs.Add(1)
 	if s.observing && s.Epoch > s.observeEpoch {
@@ -556,8 +527,6 @@ func (s *Server) applyDecision(k uint64, d consensus.Decision) {
 	// Drop per-epoch bookkeeping we no longer need.
 	delete(s.cons, k)
 	delete(s.decisions, k)
-	delete(s.phase2Sent, k)
-	delete(s.phase2Started, k)
 	delete(s.pendingPhase2, k)
 	delete(s.seqOrderBuf, k)
 
@@ -625,15 +594,14 @@ func (s *Server) Resume(deferred []backend.Deferred) {
 	s.broadcastPhaseII()
 }
 
-// Footprint reports the sizes of the replica's per-request bookkeeping
-// structures. Payloads, ROrder and Pending cover only live requests and stay
-// bounded by the in-flight window when epoch GC is on
-// (EpochRequestLimit > 0); ADelivered is the at-most-once filter and grows
-// with the number of distinct requests ever completed.
+// Footprint reports the sizes of the replica's per-request bookkeeping. Live
+// and Pending cover only live requests and stay bounded by the in-flight
+// window when epoch GC is on (EpochRequestLimit > 0); ADelivered is the
+// at-most-once filter and grows with the number of distinct requests ever
+// completed.
 type Footprint struct {
-	Payloads   int // buffered request bodies (doubles as the R_delivered dedup set)
-	ROrder     int // live R_delivered sequence
-	Pending    int // live unordered requests
+	Live       int // epoch-table slots: R_delivered ⊖ A_delivered, with payloads
+	Pending    int // live requests not delivered yet
 	ODelivered int // current epoch's optimistic deliveries
 	ADelivered int // definitive-delivery filter (grows with history)
 }
@@ -642,10 +610,9 @@ type Footprint struct {
 // unsynchronized: call it only once Run has returned.
 func (s *Server) Footprint() Footprint {
 	return Footprint{
-		Payloads:   len(s.payloads),
-		ROrder:     s.rOrder.Len(),
-		Pending:    s.pending.Len(),
-		ODelivered: s.oDelivered.Len(),
+		Live:       len(s.live),
+		Pending:    len(s.notDelivered()),
+		ODelivered: len(s.oDelivered),
 		ADelivered: len(s.Delivered),
 	}
 }

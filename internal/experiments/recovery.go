@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/nemesis"
-	"repro/internal/wal"
 )
 
 // restartSchedule builds the canonical crash-recovery schedule for a run
@@ -157,7 +156,6 @@ func e15RollingRestarts(cfg Config) (int, time.Duration, error) {
 		Machine:           "kv",
 		EpochRequestLimit: 4,
 		WALRoot:           walRoot,
-		WALSync:           wal.SyncAlways,
 		Tracer:            ck,
 	})
 	if err != nil {

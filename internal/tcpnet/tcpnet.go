@@ -53,7 +53,8 @@ type Config struct {
 	// client's listen address).
 	Listen string
 	// Peers maps node IDs to "host:port" addresses for outgoing traffic.
-	// Additional peers are learned dynamically from inbound handshakes.
+	// Additional peers are learned dynamically from inbound handshakes; a
+	// learned address follows the peer's latest handshake.
 	Peers map[proto.NodeID]string
 	// Advertise is the address announced in outbound handshakes so peers can
 	// dial back (e.g. the externally visible form of Listen). Empty defaults
@@ -94,6 +95,7 @@ type Node struct {
 	mu      sync.Mutex
 	outs    map[proto.NodeID]*outgoing
 	inbound map[net.Conn]struct{}
+	learned map[proto.NodeID]bool // peers whose address came from a handshake
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -146,6 +148,14 @@ func (o *outgoing) popBatch(block bool) ([]*transport.Frame, int) {
 	}
 }
 
+// close stops the sender; its loop recycles whatever is still queued.
+func (o *outgoing) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	o.wake()
+}
+
 // wake nudges the consumer (non-blocking; capacity-1 channel).
 func (o *outgoing) wake() {
 	select {
@@ -167,6 +177,7 @@ func New(cfg Config) (*Node, error) {
 		inbox:   transport.NewQueue(),
 		outs:    make(map[proto.NodeID]*outgoing),
 		inbound: make(map[net.Conn]struct{}),
+		learned: make(map[proto.NodeID]bool),
 	}
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)
@@ -215,6 +226,7 @@ func (n *Node) SetPeer(id proto.NodeID, addr string) {
 		n.cfg.Peers = make(map[proto.NodeID]string)
 	}
 	n.cfg.Peers[id] = addr
+	delete(n.learned, id)
 }
 
 // Send implements transport.Node. The payload is borrowed: it is copied
@@ -294,10 +306,7 @@ func (n *Node) Close() error {
 		_ = c.Close() // unblocks readLoops
 	}
 	for _, o := range outs {
-		o.mu.Lock()
-		o.closed = true
-		o.mu.Unlock()
-		o.wake()
+		o.close()
 	}
 	n.wg.Wait()
 	n.inbox.Close()
@@ -348,14 +357,27 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		// Learn the peer's dial-back address unless statically configured.
+		// A learned peer that handshakes from another address is a new
+		// process under the same ID (a restarted client): re-learn it, and
+		// retire the sender bound to the old address so that the next frame
+		// dials the new one.
 		n.mu.Lock()
 		if n.cfg.Peers == nil {
 			n.cfg.Peers = make(map[proto.NodeID]string)
 		}
-		if _, ok := n.cfg.Peers[from]; !ok {
+		var stale *outgoing
+		if old, ok := n.cfg.Peers[from]; !ok || (n.learned[from] && old != string(addr)) {
 			n.cfg.Peers[from] = string(addr)
+			n.learned[from] = true
+			if ok {
+				stale = n.outs[from]
+				delete(n.outs, from)
+			}
 		}
 		n.mu.Unlock()
+		if stale != nil {
+			stale.close()
+		}
 	}
 
 	var lenBuf [4]byte

@@ -249,6 +249,28 @@ func TestDialBackViaHandshake(t *testing.T) {
 	}
 }
 
+// TestDialBackFollowsARestartedClient: a second client process under the
+// same ID, listening at another address, replaces the first as the server's
+// reply destination — the server must not keep dialing the dead address.
+func TestDialBackFollowsARestartedClient(t *testing.T) {
+	srv := newNode(t, 0)
+	for i := 0; i < 2; i++ {
+		cli := newNode(t, proto.ClientID(0))
+		cli.SetPeer(0, srv.Addr().String())
+		if err := cli.Send(0, []byte("request")); err != nil {
+			t.Fatal(err)
+		}
+		recvOne(t, srv, 5*time.Second)
+		if err := srv.Send(proto.ClientID(0), []byte("reply")); err != nil {
+			t.Fatal(err)
+		}
+		if r := recvOne(t, cli, 5*time.Second); string(r.Payload) != "reply" {
+			t.Fatalf("client %d got %q", i, r.Payload)
+		}
+		cli.Close()
+	}
+}
+
 // TestBatchFrameDeliversInnerInOrder sends a proto.Batch envelope between
 // nodes and checks the receiver can expand it to the inner messages in the
 // original order (the contract the replicas rely on when coalescing the hot

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -550,6 +551,11 @@ func NewTCPClient(opts ClientOptions) (*TCPClient, error) {
 		Group:   group,
 		GroupID: proto.GroupID(opts.GroupID), //nolint:gosec // operator-supplied small int
 		Node:    node,
+		// A later client with the same index — a new process, or a new
+		// client in this one — must not reuse this one's request ids: the
+		// servers would drop them as already delivered. A fresh nonce in the
+		// high 32 bits gives each instance its own range.
+		FirstSeq: uint64(rand.Uint32()) << 32,
 	})
 	if err != nil {
 		node.Close()

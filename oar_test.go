@@ -193,6 +193,44 @@ func TestTCPDeployment(t *testing.T) {
 	}
 }
 
+// TestTCPClientsReuseAnIndex: a client that comes after an earlier one with
+// the same ClientIndex — a restarted oar-client, say — is served too. The
+// servers remember every delivered request id for ever, so the second client
+// must not number its requests from where the first one started.
+func TestTCPClientsReuseAnIndex(t *testing.T) {
+	addrs := []string{"127.0.0.1:39571", "127.0.0.1:39572", "127.0.0.1:39573"}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for rank := range addrs {
+		rank := rank
+		go func() {
+			_ = oar.ListenAndServe(ctx, oar.ServerOptions{
+				Rank:             rank,
+				Peers:            addrs,
+				Machine:          "kv",
+				SuspicionTimeout: 200 * time.Millisecond,
+			})
+		}()
+	}
+
+	for i := 1; i <= 2; i++ {
+		cli, err := oar.NewTCPClient(oar.ClientOptions{Servers: addrs, ClientIndex: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ictx, icancel := context.WithTimeout(context.Background(), 15*time.Second)
+		reply, err := cli.Invoke(ictx, []byte(fmt.Sprintf("set k%d v%d", i, i)))
+		icancel()
+		cli.Close()
+		if err != nil {
+			t.Fatalf("client %d with index 7: %v", i, err)
+		}
+		if reply.Pos != uint64(i) {
+			t.Fatalf("client %d adopted at pos %d, want %d", i, reply.Pos, i)
+		}
+	}
+}
+
 func TestServerOptionsValidation(t *testing.T) {
 	if err := oar.ListenAndServe(context.Background(), oar.ServerOptions{}); err == nil {
 		t.Error("empty server options accepted")
