@@ -1,23 +1,22 @@
 // Command oar-bench runs the reproduction experiment suite of DESIGN.md
-// (E1–E15, E12 retired, and the ablations A1–A2) and prints one table per
-// experiment — the data recorded in EXPERIMENTS.md.
+// (E1–E8, E10, E13–E15 and the ablation A2; E9, E11, E12 and A1 are retired)
+// and prints one table per experiment — the data recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
 //	oar-bench                      # full suite (a few minutes)
 //	oar-bench -quick               # scaled-down sweep (tens of seconds)
 //	oar-bench -run E2,E5           # a subset
-//	oar-bench -protocol oar,ctab   # restrict the backend sweeps (E2, E5, E10, E11)
+//	oar-bench -protocol oar,ctab   # restrict the backend sweeps (E2, E5, E10, E13, E15)
 //	oar-bench -json BENCH.json     # machine-readable results for trend tracking
 //	oar-bench -run E8 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	                               # pprof profiles of the selected experiments,
 //	                               # for flamegraph-backed perf comparisons
 //
-// The workload matrix (E11) is shaped with:
+// The read fast path sweep (E13) is narrowed with:
 //
-//	oar-bench -run E11 -dist zipfian           # one key distribution
-//	oar-bench -run E11 -workload open          # one loop discipline
-//	oar-bench -run E11 -rw 0.9                 # 90% reads
+//	oar-bench -run E13 -dist zipfian           # one key distribution
+//	oar-bench -run E13 -rw 0.99                # one read ratio
 //
 // -json output includes, per experiment, a `latency` array of structured
 // samples (labels, count, p50_ns/p90_ns/p99_ns/max_ns, req_per_sec) — the
@@ -47,7 +46,7 @@ func main() {
 
 // jsonResult is the machine-readable form of one experiment's outcome,
 // written by -json so the perf trajectory (req/s, frames/req, violations —
-// and, since E11, latency percentiles) can be tracked across commits as
+// and latency percentiles) can be tracked across commits as
 // BENCH_*.json artifacts.
 type jsonResult struct {
 	ID     string     `json:"id"`
@@ -96,24 +95,22 @@ func checkLatency(results []jsonResult) string {
 		}
 	}
 	if sampled == 0 {
-		return "no experiment produced latency samples (expected from E2 and E11)"
+		return "no experiment produced latency samples (expected from E2 and E13–E15)"
 	}
 	return ""
 }
 
 func run() int {
 	var (
-		quick       = flag.Bool("quick", false, "scaled-down request counts and sweeps")
-		only        = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		shards      = flag.Int("shards", 0, "largest shard count E9 sweeps to, in powers of two (0 = the 1/2/4 default)")
-		protoList   = flag.String("protocol", "", "comma-separated ordering backends for the E2/E5/E10/E11 sweeps (default: "+strings.Join(backend.Names(), ",")+")")
-		workloadSel = flag.String("workload", "", "restrict E11's loop disciplines: closed or open (default: both)")
-		distSel     = flag.String("dist", "", "restrict E11's key distributions: uniform or zipfian (default: both)")
-		readRatio   = flag.Float64("rw", 0.5, "read fraction in [0,1]: E11's mix, and E13's ratio sweep override when set off the 0.5 default (0 = all writes)")
-		jsonPath    = flag.String("json", "", "write machine-readable per-experiment results to this path")
-		requireLat  = flag.Bool("require-latency", false, "fail unless the selected experiments emitted complete latency samples (the CI schema gate)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this path")
-		memProfile  = flag.String("memprofile", "", "write a pprof allocation profile to this path at exit")
+		quick      = flag.Bool("quick", false, "scaled-down request counts and sweeps")
+		only       = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		protoList  = flag.String("protocol", "", "comma-separated ordering backends for the E2/E5/E10/E13/E15 sweeps (default: "+strings.Join(backend.Names(), ",")+")")
+		distSel    = flag.String("dist", "", "restrict E13's key distributions: uniform or zipfian (default: both)")
+		readRatio  = flag.Float64("rw", 0.5, "read fraction in (0,1]: pins E13's ratio sweep to this one value when set off the 0.5 default")
+		jsonPath   = flag.String("json", "", "write machine-readable per-experiment results to this path")
+		requireLat = flag.Bool("require-latency", false, "fail unless the selected experiments emitted complete latency samples (the CI schema gate)")
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this path")
+		memProfile = flag.String("memprofile", "", "write a pprof allocation profile to this path at exit")
 	)
 	flag.Parse()
 	if *cpuProfile != "" {
@@ -151,17 +148,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "oar-bench: %v\n", err)
 		return 2
 	}
-	rw := *readRatio
-	if rw == 0 {
-		rw = -1 // the experiments' Config uses 0 for "default mix", negative for "all writes"
-	}
 	cfg := experiments.Config{
 		Quick:     *quick,
-		Shards:    *shards,
 		Protocols: selected,
-		Workload:  *workloadSel,
 		Dist:      *distSel,
-		ReadRatio: rw,
+		ReadRatio: *readRatio,
 	}
 
 	type exp struct {
@@ -177,13 +168,10 @@ func run() int {
 		{"E6", experiments.E6EpochGC},
 		{"E7", experiments.E7QuorumRule},
 		{"E8", experiments.E8Batching},
-		{"E9", experiments.E9ShardScaling},
 		{"E10", experiments.E10BackendMatrix},
-		{"E11", experiments.E11WorkloadMatrix},
 		{"E13", experiments.E13ReadFastPath},
 		{"E14", experiments.E14Nemesis},
 		{"E15", experiments.E15Recovery},
-		{"A1", experiments.A1RelayStrategy},
 		{"A2", experiments.A2UndoThriftiness},
 	}
 

@@ -64,8 +64,8 @@
 // The workload engine behind the numbers (closed and open loop
 // disciplines, coordinated-omission-corrected open-loop sampling,
 // uniform/zipfian key skew, read/write mix, warmup, deterministic seeds)
-// drives both the experiment suite (oar-bench, experiment E11) and real
-// TCP deployments (cmd/oar-loadgen); EXPERIMENTS.md documents the
+// drives both the experiment suite (oar-bench, experiments E13–E15) and
+// real TCP deployments (cmd/oar-loadgen); EXPERIMENTS.md documents the
 // measurement methodology.
 //
 // # Replicated state machines

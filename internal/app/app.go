@@ -24,9 +24,10 @@ import (
 	"strings"
 )
 
-// Machine is a deterministic state machine with per-command undo.
-// Implementations are not safe for concurrent use: they are owned by a
-// single server event loop, per the paper's execution model.
+// Machine is a deterministic state machine with per-command undo, a
+// read-only query surface and a full-state snapshot. Implementations are not
+// safe for concurrent use: they are owned by a single server event loop, per
+// the paper's execution model.
 type Machine interface {
 	// Apply executes cmd and returns its result plus an undo closure that
 	// reverts this application. Apply must be deterministic: identical
@@ -37,21 +38,29 @@ type Machine interface {
 	// Fingerprint returns a deterministic digest of the current state, used
 	// by tests and the trace checker to compare replicas.
 	Fingerprint() string
-}
-
-// Reader is the optional read-only extension of Machine: machines that can
-// answer some commands without changing state implement it, enabling the
-// read fast path (replies served from the optimistic prefix with no position
-// in the definitive order and no undo closure).
-//
-// Query answers cmd if and only if cmd is a well-formed read-only command
-// for this machine, returning ok=false otherwise — including for malformed
-// variants of read commands, which fall back to the ordered path so every
-// replica produces the identical (error) result. When ok is true the result
-// must be byte-identical to what Apply(cmd) would return in the same state,
-// and the state must be unchanged.
-type Reader interface {
+	// Query serves the read fast path (replies from the optimistic prefix
+	// with no position in the definitive order and no undo closure). It
+	// answers cmd if and only if cmd is a well-formed read-only command for
+	// this machine, returning ok=false otherwise — including for malformed
+	// variants of read commands, and for every command of a machine with no
+	// read-only subset; those fall back to the ordered path so every replica
+	// produces the identical result. When ok is true the result must be
+	// byte-identical to what Apply(cmd) would return in the same state, and
+	// the state must be unchanged.
 	Query(cmd []byte) (result []byte, ok bool)
+	// Snapshot and Restore serialize the full state, enabling FSM snapshots
+	// at epoch boundaries (where the undo-set is empty, so the image is a
+	// pure A-delivered prefix) and restore-on-recovery.
+	//
+	// Snapshot must capture every bit of state that Fingerprint observes, so
+	// Restore(Snapshot()) yields a fingerprint-identical machine — the
+	// property replica recovery's byte-identical-convergence check rests on.
+	// Restore replaces the machine's state wholesale and must reject a
+	// corrupted or foreign image with an error rather than install a
+	// silently wrong state: every image is framed with a machine-name header
+	// and a CRC over the body.
+	Snapshot() ([]byte, error)
+	Restore([]byte) error
 }
 
 // New constructs a machine by name: "recorder", "stack", "kv", "counter",

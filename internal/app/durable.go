@@ -8,23 +8,6 @@ import (
 	"strings"
 )
 
-// Durable is the optional durability extension of Machine: machines that
-// can serialize their full state implement it, enabling FSM snapshots at
-// epoch boundaries (where the undo-set is empty, so the image is a pure
-// A-delivered prefix) and restore-on-recovery.
-//
-// Snapshot must capture every bit of state that Fingerprint observes, so
-// Restore(Snapshot()) yields a fingerprint-identical machine — the
-// property replica recovery's byte-identical-convergence check rests on.
-// Restore replaces the machine's state wholesale and must reject a
-// corrupted or foreign image with an error rather than install a silently
-// wrong state: every image is framed with a machine-name header and a CRC
-// over the body.
-type Durable interface {
-	Snapshot() ([]byte, error)
-	Restore([]byte) error
-}
-
 // snapHeader frames every app snapshot: "appsnap1 <machine> <crc32>\n".
 const snapHeader = "appsnap1"
 
@@ -77,9 +60,7 @@ func nonEmptyLines(body string) []string {
 
 // --- KV ---
 
-var _ Durable = (*KV)(nil)
-
-// Snapshot implements Durable: one "key value" line per entry, in
+// Snapshot implements Machine: one "key value" line per entry, in
 // fingerprint (sorted-key) order.
 func (kv *KV) Snapshot() ([]byte, error) {
 	var b strings.Builder
@@ -89,7 +70,7 @@ func (kv *KV) Snapshot() ([]byte, error) {
 	return encodeSnap("kv", b.String()), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (kv *KV) Restore(blob []byte) error {
 	body, err := decodeSnap("kv", blob)
 	if err != nil {
@@ -109,14 +90,12 @@ func (kv *KV) Restore(blob []byte) error {
 
 // --- Counter ---
 
-var _ Durable = (*Counter)(nil)
-
-// Snapshot implements Durable.
+// Snapshot implements Machine.
 func (c *Counter) Snapshot() ([]byte, error) {
 	return encodeSnap("counter", strconv.FormatInt(c.value, 10)), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (c *Counter) Restore(blob []byte) error {
 	body, err := decodeSnap("counter", blob)
 	if err != nil {
@@ -132,9 +111,7 @@ func (c *Counter) Restore(blob []byte) error {
 
 // --- Bank ---
 
-var _ Durable = (*Bank)(nil)
-
-// Snapshot implements Durable: one "account balance" line per account, in
+// Snapshot implements Machine: one "account balance" line per account, in
 // sorted order.
 func (b *Bank) Snapshot() ([]byte, error) {
 	var sb strings.Builder
@@ -144,7 +121,7 @@ func (b *Bank) Snapshot() ([]byte, error) {
 	return encodeSnap("bank", sb.String()), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (b *Bank) Restore(blob []byte) error {
 	body, err := decodeSnap("bank", blob)
 	if err != nil {
@@ -168,9 +145,7 @@ func (b *Bank) Restore(blob []byte) error {
 
 // --- Queue ---
 
-var _ Durable = (*Queue)(nil)
-
-// Snapshot implements Durable. The consumed prefix and head index are kept
+// Snapshot implements Machine. The consumed prefix and head index are kept
 // verbatim — Fingerprint exposes the head position, and post-restore undo
 // closures walk back into the consumed region — so the image is the full
 // item slice behind a "head <n>" line.
@@ -183,7 +158,7 @@ func (q *Queue) Snapshot() ([]byte, error) {
 	return encodeSnap("queue", b.String()), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (q *Queue) Restore(blob []byte) error {
 	body, err := decodeSnap("queue", blob)
 	if err != nil {
@@ -211,9 +186,7 @@ func (q *Queue) Restore(blob []byte) error {
 
 // --- Recorder ---
 
-var _ Durable = (*Recorder)(nil)
-
-// Snapshot implements Durable: one quoted command per line (commands may
+// Snapshot implements Machine: one quoted command per line (commands may
 // contain whitespace, unlike the token-valued machines above).
 func (r *Recorder) Snapshot() ([]byte, error) {
 	var b strings.Builder
@@ -223,7 +196,7 @@ func (r *Recorder) Snapshot() ([]byte, error) {
 	return encodeSnap("recorder", b.String()), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (r *Recorder) Restore(blob []byte) error {
 	body, err := decodeSnap("recorder", blob)
 	if err != nil {
@@ -243,9 +216,7 @@ func (r *Recorder) Restore(blob []byte) error {
 
 // --- Stack ---
 
-var _ Durable = (*Stack)(nil)
-
-// Snapshot implements Durable: one item per line, bottom first.
+// Snapshot implements Machine: one item per line, bottom first.
 func (s *Stack) Snapshot() ([]byte, error) {
 	var b strings.Builder
 	for _, it := range s.items {
@@ -254,7 +225,7 @@ func (s *Stack) Snapshot() ([]byte, error) {
 	return encodeSnap("stack", b.String()), nil
 }
 
-// Restore implements Durable.
+// Restore implements Machine.
 func (s *Stack) Restore(blob []byte) error {
 	body, err := decodeSnap("stack", blob)
 	if err != nil {

@@ -46,7 +46,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			populate(t, name, src)
-			blob, err := src.(Durable).Snapshot()
+			blob, err := src.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestSnapshotRestoreIdentity(t *testing.T) {
 			// Dirty the destination first: Restore must replace, not merge.
 			populate(t, name, dst)
 			dst.Apply([]byte("extra noise"))
-			if err := dst.(Durable).Restore(blob); err != nil {
+			if err := dst.Restore(blob); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if got, want := dst.Fingerprint(), src.Fingerprint(); got != want {
@@ -83,13 +83,13 @@ func TestRestoreEmptySnapshot(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			src, _ := New(name)
-			blob, err := src.(Durable).Snapshot()
+			blob, err := src.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			dst, _ := New(name)
 			populate(t, name, dst)
-			if err := dst.(Durable).Restore(blob); err != nil {
+			if err := dst.Restore(blob); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if dst.Fingerprint() != src.Fingerprint() {
@@ -109,7 +109,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			src, _ := New(name)
 			populate(t, name, src)
-			blob, err := src.(Durable).Snapshot()
+			blob, err := src.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 				tampered := append([]byte(nil), blob...)
 				tampered[off] ^= 0x02
 				dst, _ := New(name)
-				if err := dst.(Durable).Restore(tampered); err == nil {
+				if err := dst.Restore(tampered); err == nil {
 					t.Fatalf("corrupted snapshot (byte %d) restored without error", off)
 				}
 			}
@@ -134,19 +134,19 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 			}
 			wrong, err := func() ([]byte, error) {
 				m, _ := New(other)
-				return m.(Durable).Snapshot()
+				return m.Snapshot()
 			}()
 			if err != nil {
 				t.Fatal(err)
 			}
 			dst, _ := New(name)
-			if err := dst.(Durable).Restore(wrong); err == nil {
+			if err := dst.Restore(wrong); err == nil {
 				t.Fatalf("foreign machine snapshot restored without error")
 			}
-			if err := dst.(Durable).Restore([]byte("garbage")); err == nil {
+			if err := dst.Restore([]byte("garbage")); err == nil {
 				t.Fatalf("garbage restored without error")
 			}
-			if err := dst.(Durable).Restore(nil); err == nil {
+			if err := dst.Restore(nil); err == nil {
 				t.Fatalf("nil snapshot restored without error")
 			}
 		})

@@ -33,6 +33,9 @@ func (r *Recorder) Apply(cmd []byte) ([]byte, func()) {
 // Fingerprint implements Machine.
 func (r *Recorder) Fingerprint() string { return strings.Join(r.log, "|") }
 
+// Query implements Machine: a recorder has no read-only command.
+func (r *Recorder) Query([]byte) ([]byte, bool) { return nil, false }
+
 // Log returns the applied commands in order.
 func (r *Recorder) Log() []string { return append([]string(nil), r.log...) }
 
@@ -84,6 +87,10 @@ func (s *Stack) Apply(cmd []byte) ([]byte, func()) {
 
 // Fingerprint implements Machine.
 func (s *Stack) Fingerprint() string { return strings.Join(s.items, "|") }
+
+// Query implements Machine: no stack command is served off the ordered
+// path.
+func (s *Stack) Query([]byte) ([]byte, bool) { return nil, false }
 
 // Depth returns the current stack depth.
 func (s *Stack) Depth() int { return len(s.items) }
@@ -161,7 +168,7 @@ func (kv *KV) Apply(cmd []byte) ([]byte, func()) {
 	}
 }
 
-// Query implements Reader: "get <k>" is the read-only command.
+// Query implements Machine: "get <k>" is the read-only command.
 func (kv *KV) Query(cmd []byte) ([]byte, bool) {
 	f := fields(cmd)
 	if len(f) != 2 || f[0] != "get" {
@@ -218,7 +225,7 @@ func (c *Counter) Apply(cmd []byte) ([]byte, func()) {
 	}
 }
 
-// Query implements Reader: "get" is the read-only command.
+// Query implements Machine: "get" is the read-only command.
 func (c *Counter) Query(cmd []byte) ([]byte, bool) {
 	f := fields(cmd)
 	if len(f) != 1 || f[0] != "get" {
@@ -330,7 +337,7 @@ func (b *Bank) Apply(cmd []byte) ([]byte, func()) {
 	}
 }
 
-// Query implements Reader: "balance <acct>" is the read-only command.
+// Query implements Machine: "balance <acct>" is the read-only command.
 func (b *Bank) Query(cmd []byte) ([]byte, bool) {
 	f := fields(cmd)
 	if len(f) != 2 || f[0] != "balance" {
@@ -405,7 +412,7 @@ func (q *Queue) Apply(cmd []byte) ([]byte, func()) {
 	}
 }
 
-// Query implements Reader: "peek" and "len" are the read-only commands.
+// Query implements Machine: "peek" and "len" are the read-only commands.
 func (q *Queue) Query(cmd []byte) ([]byte, bool) {
 	f := fields(cmd)
 	if len(f) != 1 {

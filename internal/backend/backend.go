@@ -31,7 +31,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/rmcast"
 	"repro/internal/transport"
 )
 
@@ -47,7 +46,7 @@ const (
 // ReplicaConfig is the boot configuration of one replica, whatever the
 // protocol: the one place a replica option is declared. Runtime.Init
 // validates it and applies the defaults; protocols ignore the knobs they
-// have no use for (the baselines have no relay strategy or epoch limit).
+// have no use for (the baselines have no epoch limit).
 type ReplicaConfig struct {
 	// ID is this replica's rank; Group is Π (must contain ID; |Π| ≤ 64).
 	ID    proto.NodeID
@@ -63,8 +62,6 @@ type ReplicaConfig struct {
 	// Detector drives failure suspicion (sequencer fail-over, consensus
 	// coordinator rotation).
 	Detector fd.Detector
-	// RelayMode selects the reliable-multicast relay strategy (OAR only).
-	RelayMode rmcast.Mode
 	// TickInterval drives suspicion sampling, heartbeats and consensus
 	// timeouts (default DefaultTickInterval). HeartbeatInterval is the gap
 	// between heartbeats to peers (default DefaultHeartbeatInterval;
@@ -94,8 +91,7 @@ type ReplicaConfig struct {
 	// (0 = DefaultSnapshotEvery, negative = never). Snapshots are taken at
 	// protocol boundaries — nothing optimistic is applied there, so the
 	// image is a pure definitive prefix — and bound both the WAL on disk and
-	// the in-memory catch-up tail. They require the Machine to implement
-	// app.Durable.
+	// the in-memory catch-up tail.
 	SnapshotEvery int
 	// Recovering marks a replica booting after a crash: after replaying its
 	// local snapshot+WAL it defers protocol traffic, refuses fast-path reads
@@ -195,8 +191,8 @@ type Stats struct {
 	// ReadsServed counts read-only requests answered on the read fast path —
 	// inline from a replica's optimistic prefix, with zero ordering messages.
 	// ReadFallbacks counts reads a replica pushed onto the ordered path
-	// instead (no Reader on the machine, or the command was not a
-	// well-formed read).
+	// instead (the machine's Query refused the command: the machine has no
+	// read-only subset, or the command was not a well-formed read).
 	ReadsServed   uint64
 	ReadFallbacks uint64
 	// ReadReissues counts fast-path reads a client gave up on — every replica

@@ -333,8 +333,8 @@ const readFallbackTimeout = 64 * DefaultTickInterval
 
 // InvokeRead performs a read-only request on the fast path: the command goes
 // directly to every replica of the group — no ordering, no position in the
-// definitive order — and each replica whose machine implements app.Reader
-// answers inline from its current prefix. The reply is adopted under the
+// definitive order — and each replica whose machine's Query accepts the
+// command answers inline from its current prefix. The reply is adopted under the
 // majority-validated rule of ReadQuorum (whatever the protocol's write rule:
 // a single replica's unordered snapshot carries no ordering evidence at
 // all), which also keeps this client's reads monotonic and read-your-writes.

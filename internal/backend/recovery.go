@@ -128,10 +128,7 @@ func (rt *Runtime) replayLocal() error {
 // at-most-once filter and the catch-up base. encoded is the blob's wire form,
 // copied for serving catch-up.
 func (rt *Runtime) restore(blob SnapshotBlob, encoded []byte) error {
-	if rt.durable == nil {
-		return fmt.Errorf("machine %T does not implement app.Durable", rt.Cfg.Machine)
-	}
-	if err := rt.durable.Restore(blob.Image); err != nil {
+	if err := rt.Cfg.Machine.Restore(blob.Image); err != nil {
 		return err
 	}
 	rt.Pos, rt.Epoch = blob.Pos, blob.Epoch
@@ -176,7 +173,7 @@ func (rt *Runtime) Commit(req proto.Request) {
 func (rt *Runtime) Boundary() {
 	rt.ds.Epoch = rt.Epoch
 	rt.journalEpoch()
-	if rt.snapEvery < 0 || rt.durable == nil {
+	if rt.snapEvery < 0 {
 		return
 	}
 	rt.sinceSnap++
@@ -187,7 +184,7 @@ func (rt *Runtime) Boundary() {
 	if !due {
 		return
 	}
-	img, err := rt.durable.Snapshot()
+	img, err := rt.Cfg.Machine.Snapshot()
 	if err != nil {
 		return // keep the full tail; snapshotting is an optimization
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/proto"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -144,10 +143,8 @@ type Runtime struct {
 	// Count holds the counters behind Stats.
 	Count Counters
 
-	p       Protocol
-	spec    Spec
-	reader  app.Reader  // nil when the machine has no read-only surface
-	durable app.Durable // nil when the machine cannot snapshot
+	p    Protocol
+	spec Spec
 
 	// Every send of one round is appended to a per-destination envelope and
 	// flushed as one frame at the end of the round; the buffers and frames
@@ -205,8 +202,6 @@ func (rt *Runtime) Init(cfg ReplicaConfig, p Protocol, spec Spec) error {
 		encBuf:    make([]byte, 0, 256),
 		hbFrame:   proto.MarshalHeartbeat(cfg.GroupID),
 	}
-	rt.reader, _ = cfg.Machine.(app.Reader)
-	rt.durable, _ = cfg.Machine.(app.Durable)
 	if err := rt.initDurability(); err != nil {
 		return err
 	}
@@ -393,13 +388,14 @@ func (rt *Runtime) handleMessage(m transport.Message, now time.Time) {
 }
 
 // handleRead serves a read-only request without touching the ordering path:
-// the machine's Reader answers from the current prefix and the reply is
+// the machine's Query answers from the current prefix and the reply is
 // tagged with (Epoch, Pos, own weight). The client adopts it only once a
 // majority has answered at a compatible prefix (ReadQuorum), so nothing is
 // buffered or retained here: a read costs zero ordering messages.
 //
-// Machines without a Reader — and writes or malformed commands mislabelled
-// as reads — fall back to the ordered path: the request is submitted like a
+// Commands the machine's Query refuses — every command of a machine with no
+// read-only subset, and writes or malformed commands mislabelled as reads —
+// fall back to the ordered path: the request is submitted like a
 // write, and every replica eventually replies from its one delivery
 // position, which satisfies the client's read rule at that position.
 func (rt *Runtime) handleRead(body []byte) {
@@ -407,23 +403,21 @@ func (rt *Runtime) handleRead(body []byte) {
 	if err != nil {
 		return
 	}
-	if rt.reader != nil {
-		if result, ok := rt.reader.Query(req.Cmd); ok {
-			rt.Count.reads.Add(1)
-			epoch := rt.Epoch
-			if rt.spec.FlatReads {
-				epoch = 0
-			}
-			rt.SendReply(req.ID.Client, proto.Reply{
-				Req:    req.ID,
-				From:   rt.Cfg.ID,
-				Epoch:  epoch,
-				Weight: proto.WeightOf(rt.Cfg.ID),
-				Pos:    rt.Pos,
-				Result: result,
-			})
-			return
+	if result, ok := rt.Cfg.Machine.Query(req.Cmd); ok {
+		rt.Count.reads.Add(1)
+		epoch := rt.Epoch
+		if rt.spec.FlatReads {
+			epoch = 0
 		}
+		rt.SendReply(req.ID.Client, proto.Reply{
+			Req:    req.ID,
+			From:   rt.Cfg.ID,
+			Epoch:  epoch,
+			Weight: proto.WeightOf(rt.Cfg.ID),
+			Pos:    rt.Pos,
+			Result: result,
+		})
+		return
 	}
 	rt.Count.readFallbacks.Add(1)
 	rt.p.Submit(req)

@@ -33,7 +33,6 @@ import (
 	"repro/internal/memnet"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/rmcast"
 	"repro/internal/shard"
 
 	// The built-in backends register themselves at init time.
@@ -97,9 +96,6 @@ type Options struct {
 	FD FDMode
 	// FDTimeout is the heartbeat suspicion timeout (default 25ms).
 	FDTimeout time.Duration
-	// RelayMode selects the reliable-multicast strategy (default Eager; OAR
-	// only).
-	RelayMode rmcast.Mode
 	// EpochRequestLimit forces a PhaseII after that many optimistic
 	// deliveries per epoch (0 = off; OAR only); see the Section 5.3 Remark.
 	EpochRequestLimit int
@@ -153,87 +149,22 @@ func (m *lockedMachine) Fingerprint() string {
 	return m.inner.Fingerprint()
 }
 
-// lockedReaderMachine additionally forwards the read-only Query surface for
-// machines that have one. It is a separate type so that wrapping never
-// grants app.Reader to a machine that does not implement it — the replica's
-// read fast path keys off the type assertion.
-type lockedReaderMachine struct {
-	lockedMachine
-	reader app.Reader
-}
-
-var _ app.Reader = (*lockedReaderMachine)(nil)
-
-func (m *lockedReaderMachine) Query(cmd []byte) ([]byte, bool) {
+func (m *lockedMachine) Query(cmd []byte) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.reader.Query(cmd)
+	return m.inner.Query(cmd)
 }
 
-// lockedDurable forwards the app.Durable surface under the owning wrapper's
-// lock. Like app.Reader above, durability is only granted when the inner
-// machine has it — the replica's snapshot/recovery path keys off the type
-// assertion.
-type lockedDurable struct {
-	mu      *sync.Mutex
-	durable app.Durable
-}
-
-func (m *lockedDurable) Snapshot() ([]byte, error) {
+func (m *lockedMachine) Snapshot() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.durable.Snapshot()
+	return m.inner.Snapshot()
 }
 
-func (m *lockedDurable) Restore(data []byte) error {
+func (m *lockedMachine) Restore(data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.durable.Restore(data)
-}
-
-type lockedDurableMachine struct {
-	lockedMachine
-	lockedDurable
-}
-
-var _ app.Durable = (*lockedDurableMachine)(nil)
-
-type lockedReaderDurableMachine struct {
-	lockedReaderMachine
-	lockedDurable
-}
-
-var (
-	_ app.Reader  = (*lockedReaderDurableMachine)(nil)
-	_ app.Durable = (*lockedReaderDurableMachine)(nil)
-)
-
-// lockMachine wraps inner for cross-goroutine observation, preserving its
-// app.Reader and app.Durable implementations exactly when present.
-func lockMachine(inner app.Machine) app.Machine {
-	r, isReader := inner.(app.Reader)
-	d, isDurable := inner.(app.Durable)
-	switch {
-	case isReader && isDurable:
-		m := &lockedReaderDurableMachine{}
-		m.inner = inner
-		m.reader = r
-		m.durable = d
-		m.lockedDurable.mu = &m.lockedMachine.mu
-		return m
-	case isDurable:
-		m := &lockedDurableMachine{}
-		m.inner = inner
-		m.durable = d
-		m.lockedDurable.mu = &m.lockedMachine.mu
-		return m
-	case isReader:
-		m := &lockedReaderMachine{reader: r}
-		m.inner = inner
-		return m
-	default:
-		return &lockedMachine{inner: inner}
-	}
+	return m.inner.Restore(data)
 }
 
 // shardGroup is the runtime of one ordering group: its network, replicas,
@@ -366,7 +297,7 @@ func (c *Cluster) bootShard(ctx context.Context, s int) (*shardGroup, error) {
 		if err != nil {
 			return nil, err
 		}
-		machine := lockMachine(inner)
+		machine := &lockedMachine{inner: inner}
 		sg.mach = append(sg.mach, machine)
 
 		rep, oracle, done, err := c.buildReplica(ctx, sg, i, machine, false, 0, start)
@@ -416,7 +347,6 @@ func (c *Cluster) buildReplica(ctx context.Context, sg *shardGroup, i int, machi
 		Node:              sg.net.Node(c.group[i]),
 		Machine:           machine,
 		Detector:          detector,
-		RelayMode:         opts.RelayMode,
 		HeartbeatInterval: hbInterval,
 		EpochRequestLimit: opts.EpochRequestLimit,
 		Unbatched:         opts.Unbatched,
@@ -579,7 +509,7 @@ func (c *Cluster) Restart(s, i int) error {
 	if err != nil {
 		return err
 	}
-	machine := lockMachine(inner)
+	machine := &lockedMachine{inner: inner}
 	rep, oracle, done, err := c.buildReplica(c.ctx, sg, i, machine, true, incarnation, time.Now())
 	if err != nil {
 		return fmt.Errorf("cluster: restart s%d/r%d: %w", s, i, err)

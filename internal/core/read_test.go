@@ -142,9 +142,17 @@ func TestReadNeverAdoptsDoomedPrefix(t *testing.T) {
 		t.Fatalf("client adopted a minority-weight read %+v from the doomed prefix", r)
 	case <-time.After(100 * time.Millisecond): // beyond the fallback timeout
 	}
+	// The fallen-back read is an ordered request that the partition lets
+	// reach only the minority, which opt-delivers it at pos 4 — doomed too.
+	// Waiting for it keeps it from racing "set d" below for that position.
+	if !cluster.WaitUntil(testTimeout, func() bool {
+		return c.ReplicaStats(0, 0).OptDelivered == 4 && c.ReplicaStats(0, 1).OptDelivered == 4
+	}) {
+		t.Fatal("minority did not opt-deliver the fallen-back read")
+	}
 
 	// "set d 4" from c2 reaches everyone; the minority opt-delivers it at
-	// pos 4, the majority buffers it for the conservative phase.
+	// pos 5, the majority buffers it for the conservative phase.
 	setDdone := make(chan proto.Reply, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
@@ -154,7 +162,7 @@ func TestReadNeverAdoptsDoomedPrefix(t *testing.T) {
 		}
 	}()
 	if !cluster.WaitUntil(testTimeout, func() bool {
-		return c.ReplicaStats(0, 0).OptDelivered == 4 && c.ReplicaStats(0, 1).OptDelivered == 4
+		return c.ReplicaStats(0, 0).OptDelivered == 5 && c.ReplicaStats(0, 1).OptDelivered == 5
 	}) {
 		t.Fatal("minority did not opt-deliver set d")
 	}
@@ -177,7 +185,7 @@ func TestReadNeverAdoptsDoomedPrefix(t *testing.T) {
 		t.Fatal("majority did not complete the conservative phase")
 	}
 
-	// Heal; the minority rolls back {set d, set c} and converges; the
+	// Heal; the minority rolls back {set d, get c, set c} and converges; the
 	// pending write and the fallen-back read both complete.
 	c.TrustEverywhere(0)
 	c.TrustEverywhere(1)
@@ -199,10 +207,8 @@ func TestReadNeverAdoptsDoomedPrefix(t *testing.T) {
 	case <-time.After(testTimeout):
 		t.Fatal("set d never adopted after the heal")
 	}
-	// At least set c and set d roll back at both minority replicas; the
-	// fallen-back ordered read may be opt-delivered there too and add its
-	// own undos, so the exact count is timing-dependent (unlike the pure
-	// Figure 4 script).
+	// At least set c and set d roll back at both minority replicas (the
+	// fallen-back read between them adds its own undos).
 	if !cluster.WaitUntil(testTimeout, func() bool { return ck.Undeliveries() >= 4 }) {
 		t.Fatalf("undeliveries = %d, want >= 4", ck.Undeliveries())
 	}

@@ -117,7 +117,6 @@ func NewServer(cfg backend.ReplicaConfig) (*Server, error) {
 		Group:   cfg.Group,
 		GroupID: cfg.GroupID,
 		Send:    s.Send,
-		Mode:    cfg.RelayMode,
 		// On the batching path every send is copied into the round's
 		// envelope buffers immediately, so the relay hot path may encode
 		// into a reusable scratch buffer.
@@ -371,11 +370,6 @@ func (s *Server) handlePhaseII(k uint64) {
 		return
 	}
 	s.inPhase2 = true
-
-	// Lazy relay: agreement on buffered R-multicasts matters exactly now.
-	if s.Cfg.RelayMode == rmcast.Lazy {
-		s.rm.RelayAll()
-	}
 
 	// Figure 6 lines 23–24: propose (O_delivered, O_notdelivered).
 	dlv := make([]proto.Request, len(s.oDelivered))

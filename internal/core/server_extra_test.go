@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/memnet"
 	"repro/internal/proto"
-	"repro/internal/rmcast"
 )
 
 // TestLaggingReplicaCatchesUp: p2 is cut off while the rest of the group
@@ -56,23 +55,24 @@ func TestLaggingReplicaCatchesUp(t *testing.T) {
 }
 
 // TestSeqOrderPayloadPiggyback: a client request reaches ONLY the sequencer
-// (drops to the other replicas, lazy relay so nothing re-forwards it); the
-// others must still Opt-deliver it because the ordering message carries full
-// payloads.
+// (its copies to the other replicas and the sequencer's R-multicast relays of
+// it are dropped); the others must still Opt-deliver it because the ordering
+// message carries full payloads.
 func TestSeqOrderPayloadPiggyback(t *testing.T) {
 	ck := check.New(3)
-	c := mustCluster(t, cluster.Options{
-		N: 3, FD: cluster.FDNever, Tracer: ck, RelayMode: rmcast.Lazy,
-	})
+	c := mustCluster(t, cluster.Options{N: 3, FD: cluster.FDNever, Tracer: ck})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop the client's R-multicast copies to p1 and p2 (not the sequencer's
-	// ordering). With Lazy relay, no replica re-forwards either.
+	// Drop the client's R-multicast copies to p1 and p2, and p0's relays of
+	// them, but not the sequencer's ordering.
 	cid := proto.ClientID(0)
 	c.Net(0).SetFilter(func(from, to proto.NodeID, payload []byte) memnet.Verdict {
-		if from == cid && to != proto.NodeID(0) {
+		if to == proto.NodeID(0) {
+			return memnet.Deliver
+		}
+		if from == cid || (from == proto.NodeID(0) && proto.Kind(payload[0]) == proto.KindRMcast) {
 			return memnet.Drop
 		}
 		return memnet.Deliver

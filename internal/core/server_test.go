@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/rmcast"
 )
 
 const testTimeout = 10 * time.Second
@@ -379,23 +378,6 @@ func TestEpochGC(t *testing.T) {
 	}
 	if ck.Undeliveries() != 0 {
 		t.Errorf("GC phase 2 undid %d deliveries", ck.Undeliveries())
-	}
-	fingerprintsConverge(t, c, []int{0, 1, 2})
-	verifyAll(t, ck, true)
-}
-
-func TestLazyRelayFailureFree(t *testing.T) {
-	ck := check.New(3)
-	c := mustCluster(t, cluster.Options{N: 3, FD: cluster.FDNever, Tracer: ck, RelayMode: rmcast.Lazy})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 10; i++ {
-		invoke(t, cli, fmt.Sprintf("m%d", i))
-	}
-	if !cluster.WaitUntil(testTimeout, func() bool { return c.TotalStats().OptDelivered == 30 }) {
-		t.Fatalf("lazy mode lost deliveries: %+v", c.TotalStats())
 	}
 	fingerprintsConverge(t, c, []int{0, 1, 2})
 	verifyAll(t, ck, true)

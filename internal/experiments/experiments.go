@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction experiment suite of
-// DESIGN.md: one function per experiment (E1–E7) and ablation (A1–A2), each
-// returning a formatted table. The same code backs the root bench_test.go
-// benchmarks and the cmd/oar-bench tool; EXPERIMENTS.md records the results.
+// DESIGN.md: one function per experiment (E1–E8, E10, E13–E15) and ablation
+// (A2), each returning a formatted table. The cmd/oar-bench tool runs them,
+// the asserting ones double as tests, and EXPERIMENTS.md records the results.
 //
 // The paper has no measurement section, so these experiments quantify its
 // qualitative claims: one-phase latency in failure-free runs (E2, E5),
@@ -23,7 +23,6 @@ import (
 	"repro/internal/memnet"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/rmcast"
 )
 
 // Result is one experiment's output table, plus the machine-readable
@@ -88,21 +87,15 @@ func (r Result) String() string {
 type Config struct {
 	// Quick shrinks request counts and sweep ranges (used by `go test`).
 	Quick bool
-	// Shards, when positive, overrides E9's shard-count sweep to the powers
-	// of two up to this value (default sweep: 1, 2, 4).
-	Shards int
 	// Protocols, when non-empty, restricts the backend sweeps (E2, E5, E10,
-	// E11) to the given backends (the -protocol flag of oar-bench). Default:
-	// all three built-ins.
+	// E13, E15) to the given backends (the -protocol flag of oar-bench).
+	// Default: all three built-ins.
 	Protocols []cluster.Protocol
-	// Workload restricts E11's loop-discipline sweep to "closed" or "open"
-	// (the -workload flag); empty sweeps both.
-	Workload string
-	// Dist restricts E11's key-distribution sweep to "uniform" or "zipfian"
+	// Dist restricts E13's key-distribution sweep to "uniform" or "zipfian"
 	// (the -dist flag); empty sweeps both.
 	Dist string
-	// ReadRatio is E11's read fraction (the -rw flag): 0 means the default
-	// 50/50 mix, negative means all writes.
+	// ReadRatio pins E13's read-ratio sweep to this one value (the -rw flag)
+	// when it is positive and not 0.5, which the default sweep covers.
 	ReadRatio float64
 }
 
@@ -414,47 +407,6 @@ func E6EpochGC(cfg Config) (Result, error) {
 			s.P99.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.0f", float64(requests)/elapsed.Seconds()),
 		})
-	}
-	return res, nil
-}
-
-// A1RelayStrategy compares eager vs lazy reliable-multicast relaying in
-// failure-free runs: the message-count saving of deferring the Agreement
-// work to phase 2.
-func A1RelayStrategy(cfg Config) (Result, error) {
-	res := Result{
-		ID:     "A1",
-		Title:  "R-multicast relay strategy (eager vs lazy), failure-free",
-		Header: []string{"mode", "n", "msgs/req", "mean latency"},
-		Notes:  []string{"lazy defers relaying to phase 2 entry; failure-free cost drops from O(n²) to O(n)"},
-	}
-	requests := cfg.requests(300)
-	for _, n := range cfg.sizes() {
-		for _, mode := range []rmcast.Mode{rmcast.Eager, rmcast.Lazy} {
-			name := "eager"
-			if mode == rmcast.Lazy {
-				name = "lazy"
-			}
-			c, err := cluster.New(cluster.Options{
-				N: n, FD: cluster.FDNever, Net: netOpts(int64(n)), RelayMode: mode,
-			})
-			if err != nil {
-				return res, err
-			}
-			hist := metrics.NewHistogram()
-			c.Net(0).ResetStats()
-			_, err = runClosedLoop(c, 1, requests, hist)
-			stats := c.Net(0).Stats()
-			c.Stop()
-			if err != nil {
-				return res, fmt.Errorf("A1 %s n=%d: %w", name, n, err)
-			}
-			res.Rows = append(res.Rows, []string{
-				name, fmt.Sprint(n),
-				fmt.Sprintf("%.1f", float64(stats.MessagesSent)/float64(requests)),
-				hist.Snapshot().Mean.Round(time.Microsecond).String(),
-			})
-		}
 	}
 	return res, nil
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -116,14 +113,6 @@ func TestE7Shape(t *testing.T) {
 	checkShape(t, r, 2)
 }
 
-func TestA1Shape(t *testing.T) {
-	r, err := A1RelayStrategy(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShape(t, r, 2*2)
-}
-
 func TestA2QualitativeShape(t *testing.T) {
 	r, err := A2UndoThriftiness(quick())
 	if err != nil {
@@ -168,42 +157,6 @@ func TestE8QualitativeShape(t *testing.T) {
 	}
 }
 
-func TestE9QualitativeShape(t *testing.T) {
-	r, err := E9ShardScaling(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShape(t, r, 2) // quick mode sweeps shards 1 and 2
-	// Every row must be checker-clean: sharding may never buy throughput by
-	// weakening any group's Propositions 1-7 (violations is second-to-last).
-	for _, row := range r.Rows {
-		if row[len(row)-2] != "0" {
-			t.Errorf("shards=%s: trace checkers saw violations: %v", row[0], row)
-		}
-	}
-	// The speedup claim (>=2.5x at 4 shards) is hardware-dependent: shards
-	// scale by running event loops in parallel, so it only shows with at
-	// least shards x n cores — and even there it is a performance number,
-	// not a correctness property, so it is asserted only when explicitly
-	// requested (the acceptance run: OAR_E9_ACCEPTANCE=1 go test on a
-	// >=16-core box), keeping the default `go test ./...` gate
-	// deterministic.
-	if os.Getenv("OAR_E9_ACCEPTANCE") != "" && runtime.NumCPU() >= 16 {
-		full, err := E9ShardScaling(Config{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := full.Rows[len(full.Rows)-1]
-		var speedup float64
-		if _, err := fmt.Sscanf(last[3], "%fx", &speedup); err != nil {
-			t.Fatalf("unparseable speedup %q", last[3])
-		}
-		if speedup < 2.5 {
-			t.Errorf("4-shard speedup %.2fx < 2.5x on a %d-core machine", speedup, runtime.NumCPU())
-		}
-	}
-}
-
 func TestE10QualitativeShape(t *testing.T) {
 	r, err := E10BackendMatrix(quick())
 	if err != nil {
@@ -217,71 +170,6 @@ func TestE10QualitativeShape(t *testing.T) {
 			t.Errorf("oar cell saw checker violations: %v", row)
 		} else if row[0] != "oar" && viol != "-" {
 			t.Errorf("baseline cell claims a checker verdict: %v", row)
-		}
-	}
-}
-
-func TestE11QualitativeShape(t *testing.T) {
-	r, err := E11WorkloadMatrix(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShape(t, r, 3*2*2) // 3 backends x dists {uniform,zipfian} x modes {closed,open}
-	if len(r.Latency) != len(r.Rows) {
-		t.Fatalf("%d latency samples for %d rows", len(r.Latency), len(r.Rows))
-	}
-	for i, row := range r.Rows {
-		// Every OAR cell runs under per-group trace checkers.
-		if viol := row[len(row)-1]; row[0] == "oar" && viol != "0" {
-			t.Errorf("oar cell saw checker violations: %v", row)
-		} else if row[0] != "oar" && viol != "-" {
-			t.Errorf("baseline cell claims a checker verdict: %v", row)
-		}
-		// The latency schema must be filled: this is what CI's
-		// -require-latency gate protects.
-		s := r.Latency[i]
-		if s.Count == 0 || s.P50NS <= 0 || s.P99NS < s.P50NS || s.MaxNS < s.P99NS {
-			t.Errorf("malformed latency sample for row %v: %+v", row, s)
-		}
-		if s.Labels["backend"] == "" || s.Labels["dist"] == "" || s.Labels["mode"] == "" {
-			t.Errorf("latency sample missing labels: %+v", s)
-		}
-	}
-	// Zipfian rows must show more routing skew than uniform rows: that is
-	// the point of carrying the distribution knob all the way down.
-	share := func(row []string) int {
-		var g, pct int
-		if _, err := fmt.Sscanf(row[len(row)-2], "g%d %d%%", &g, &pct); err != nil {
-			t.Fatalf("unparseable hottest column %q", row[len(row)-2])
-		}
-		return pct
-	}
-	for i := 0; i+2 < len(r.Rows); i += 4 {
-		// Rows come in (uniform closed, uniform open, zipfian closed,
-		// zipfian open) blocks per backend.
-		if u, z := share(r.Rows[i]), share(r.Rows[i+2]); z < u {
-			t.Errorf("zipfian skew %d%% below uniform %d%% (rows %v / %v)", z, u, r.Rows[i], r.Rows[i+2])
-		}
-	}
-}
-
-func TestE11Selection(t *testing.T) {
-	cfg := quick()
-	cfg.Protocols = []cluster.Protocol{cluster.OAR}
-	cfg.Dist = "zipfian"
-	cfg.Workload = "closed"
-	r, err := E11WorkloadMatrix(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShape(t, r, 1)
-	if r.Rows[0][0] != "oar" || r.Rows[0][1] != "zipfian" || r.Rows[0][2] != "closed" {
-		t.Errorf("selection ignored: %v", r.Rows[0])
-	}
-	for _, bad := range []Config{{Dist: "pareto"}, {Workload: "sorta-open"}} {
-		bad.Quick = true
-		if _, err := E11WorkloadMatrix(bad); err == nil {
-			t.Errorf("config %+v accepted", bad)
 		}
 	}
 }
@@ -332,7 +220,8 @@ func TestE13QualitativeShape(t *testing.T) {
 	}
 }
 
-// TestE13Selection: the -protocol/-dist/-rw knobs shape the grid.
+// TestE13Selection: the -protocol/-dist/-rw knobs shape the grid, and an
+// unknown distribution is rejected.
 func TestE13Selection(t *testing.T) {
 	cfg := quick()
 	cfg.Protocols = []cluster.Protocol{cluster.OAR}
@@ -347,6 +236,9 @@ func TestE13Selection(t *testing.T) {
 		if row[0] != "oar" || row[1] != "uniform" || row[2] != "0.99" {
 			t.Errorf("selection ignored: %v", row)
 		}
+	}
+	if _, err := E13ReadFastPath(Config{Quick: true, Dist: "pareto"}); err == nil {
+		t.Error("unknown key distribution accepted")
 	}
 }
 

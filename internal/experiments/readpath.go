@@ -86,6 +86,18 @@ func E13ReadFastPath(cfg Config) (Result, error) {
 	return res, nil
 }
 
+// dists resolves the -dist selection.
+func (c Config) dists() ([]string, error) {
+	switch c.Dist {
+	case "":
+		return workload.Dists(), nil
+	case workload.Uniform, workload.Zipfian:
+		return []string{c.Dist}, nil
+	default:
+		return nil, fmt.Errorf("unknown key distribution %q (have: uniform, zipfian)", c.Dist)
+	}
+}
+
 // e13Result is one cell's outcome.
 type e13Result struct {
 	row     []string

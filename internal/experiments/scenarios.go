@@ -423,8 +423,6 @@ func All(cfg Config) ([]Result, error) {
 		{"E6", E6EpochGC},
 		{"E7", E7QuorumRule},
 		{"E8", E8Batching},
-		{"E9", E9ShardScaling},
-		{"A1", A1RelayStrategy},
 		{"A2", A2UndoThriftiness},
 	}
 	results := make([]Result, 0, len(suite))

@@ -24,8 +24,8 @@ type Config struct {
 	// N is replicas per group (default 3); Shards the number of groups
 	// (default 1).
 	N, Shards int
-	// Machine is the replicated state machine (default "kv" — it implements
-	// app.Reader, so the read fast path is exercised).
+	// Machine is the replicated state machine (default "kv" — its Query
+	// answers "get", so the read fast path is exercised).
 	Machine string
 	// Requests is the total operation count across all workers (default 64).
 	Requests int

@@ -8,15 +8,9 @@
 //	Integrity: every process R-delivers m at most once, and only if m was
 //	           previously R-multicast.
 //
-// Two relay strategies are provided (ablation A1 in DESIGN.md):
-//
-//   - Eager: every group member forwards each message to the whole group on
-//     first delivery. Agreement holds unconditionally at the cost of O(n²)
-//     messages per multicast.
-//   - Lazy: members buffer delivered messages and only re-forward them when
-//     the owner explicitly asks (RelayAll) — the OAR server does so when
-//     entering the conservative phase, i.e. exactly when failures are
-//     suspected. Failure-free runs then cost O(n) messages per multicast.
+// Every group member forwards each message to the whole group on first
+// delivery, so Agreement holds unconditionally at the cost of O(n²) messages
+// per multicast.
 //
 // An RMcast instance is owned by a single goroutine (the process event loop)
 // and is not safe for concurrent use, in line with the paper's
@@ -28,20 +22,6 @@ import (
 
 	"repro/internal/proto"
 )
-
-// Mode selects the relay strategy.
-type Mode int
-
-// Relay strategies.
-const (
-	// Eager relays every message on first delivery.
-	Eager Mode = iota + 1
-	// Lazy relays only on explicit RelayAll calls.
-	Lazy
-)
-
-// DefaultBufferLimit bounds the lazy-relay buffer.
-const DefaultBufferLimit = 4096
 
 // Key uniquely identifies a reliable-multicast message.
 type Key struct {
@@ -62,11 +42,6 @@ type Config struct {
 	GroupID proto.GroupID
 	// Send is the reliable FIFO unicast primitive of the transport layer.
 	Send func(to proto.NodeID, payload []byte)
-	// Mode selects Eager or Lazy relay. Zero defaults to Eager.
-	Mode Mode
-	// BufferLimit bounds the lazy relay buffer; zero means
-	// DefaultBufferLimit.
-	BufferLimit int
 	// SendCopies declares that Send copies the payload before returning
 	// (e.g. it appends into a transport.Batcher's envelope buffer). It lets
 	// the relay hot path encode into a reusable scratch buffer instead of
@@ -88,23 +63,11 @@ type RMcast struct {
 	inGroup   bool
 	nextSeq   uint64
 	delivered map[Key]struct{}
-	buffer    []buffered // lazy mode: wrappers eligible for re-relay
-	scratch   []byte     // reusable relay-payload encode buffer (SendCopies mode)
-}
-
-type buffered struct {
-	key     Key
-	payload []byte // full KindRMcast payload, ready to resend
+	scratch   []byte // reusable relay-payload encode buffer (SendCopies mode)
 }
 
 // New creates an endpoint.
 func New(cfg Config) *RMcast {
-	if cfg.Mode == 0 {
-		cfg.Mode = Eager
-	}
-	if cfg.BufferLimit == 0 {
-		cfg.BufferLimit = DefaultBufferLimit
-	}
 	r := &RMcast{
 		cfg:       cfg,
 		nextSeq:   cfg.FirstSeq,
@@ -136,7 +99,7 @@ func (r *RMcast) Multicast(inner []byte) (local []byte, deliverLocal bool) {
 	if !r.inGroup {
 		return nil, false
 	}
-	r.markDelivered(key, payload)
+	r.delivered[key] = struct{}{}
 	return inner, true
 }
 
@@ -158,8 +121,7 @@ func (r *RMcast) OnMessage(body []byte) (inner []byte, deliver bool, err error) 
 	// body, so re-tagging with our own group is faithful. When Send copies
 	// (SendCopies), the payload is assembled in the reusable scratch buffer,
 	// so the once-per-delivered-message hot path allocates nothing; the
-	// buffer is reused after markDelivered/relay return (markDelivered
-	// clones what the lazy buffer retains).
+	// buffer is reused after relay returns.
 	var payload []byte
 	if r.cfg.SendCopies {
 		r.scratch = proto.AppendHeader(r.scratch[:0], proto.KindRMcast, r.cfg.GroupID)
@@ -169,43 +131,13 @@ func (r *RMcast) OnMessage(body []byte) (inner []byte, deliver bool, err error) 
 		payload = proto.AppendHeader(make([]byte, 0, 6+len(body)), proto.KindRMcast, r.cfg.GroupID)
 		payload = append(payload, body...)
 	}
-	r.markDelivered(key, payload)
-	if r.cfg.Mode == Eager {
-		r.relay(key, payload)
-	}
+	r.delivered[key] = struct{}{}
+	r.relay(key, payload)
 	return m.Inner, true, nil
-}
-
-// RelayAll re-forwards every buffered message to the whole group. In Lazy
-// mode the OAR server calls this when entering phase 2 — the only time
-// agreement is actually at risk — restoring the Agreement property at the
-// moment it is needed.
-func (r *RMcast) RelayAll() {
-	for _, b := range r.buffer {
-		r.relay(b.key, b.payload)
-	}
 }
 
 // DeliveredCount returns the number of distinct messages R-delivered so far.
 func (r *RMcast) DeliveredCount() int { return len(r.delivered) }
-
-func (r *RMcast) markDelivered(key Key, payload []byte) {
-	r.delivered[key] = struct{}{}
-	if r.cfg.Mode == Lazy && r.inGroup {
-		// The buffer retains the payload for later RelayAll calls, so it
-		// takes an owned copy when the payload lives in the scratch buffer
-		// (copy-on-retain).
-		if r.cfg.SendCopies {
-			owned := make([]byte, len(payload))
-			copy(owned, payload)
-			payload = owned
-		}
-		r.buffer = append(r.buffer, buffered{key: key, payload: payload})
-		if len(r.buffer) > r.cfg.BufferLimit {
-			r.buffer = r.buffer[len(r.buffer)-r.cfg.BufferLimit:]
-		}
-	}
-}
 
 func (r *RMcast) relay(key Key, payload []byte) {
 	for _, p := range r.cfg.Group {

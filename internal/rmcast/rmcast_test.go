@@ -98,8 +98,8 @@ func TestIntegrityDeliverOnce(t *testing.T) {
 func TestEagerRelayOnFirstDelivery(t *testing.T) {
 	netA, netB := &fakeNet{}, &fakeNet{}
 	group := proto.Group(3)
-	a := New(Config{Self: 0, Group: group, Send: netA.sender(0), Mode: Eager})
-	b := New(Config{Self: 1, Group: group, Send: netB.sender(1), Mode: Eager})
+	a := New(Config{Self: 0, Group: group, Send: netA.sender(0)})
+	b := New(Config{Self: 1, Group: group, Send: netB.sender(1)})
 
 	a.Multicast([]byte("m"))
 	payload := netA.take()[0].payload
@@ -114,54 +114,6 @@ func TestEagerRelayOnFirstDelivery(t *testing.T) {
 	}
 }
 
-func TestLazyNoRelayUntilAsked(t *testing.T) {
-	netA, netB := &fakeNet{}, &fakeNet{}
-	group := proto.Group(3)
-	a := New(Config{Self: 0, Group: group, Send: netA.sender(0), Mode: Lazy})
-	b := New(Config{Self: 1, Group: group, Send: netB.sender(1), Mode: Lazy})
-
-	a.Multicast([]byte("m"))
-	payload := netA.take()[0].payload
-	if _, ok, _ := b.OnMessage(body(t, payload)); !ok {
-		t.Fatal("no delivery")
-	}
-	if got := netB.take(); len(got) != 0 {
-		t.Fatalf("lazy mode relayed eagerly: %+v", got)
-	}
-
-	b.RelayAll()
-	relays := netB.take()
-	if len(relays) != 1 || relays[0].to != 2 {
-		t.Fatalf("RelayAll sends = %+v, want one to p2", relays)
-	}
-}
-
-func TestLazyRelayAllCoversOwnMulticasts(t *testing.T) {
-	net := &fakeNet{}
-	group := proto.Group(3)
-	a := New(Config{Self: 0, Group: group, Send: net.sender(0), Mode: Lazy})
-	a.Multicast([]byte("m1"))
-	net.take()
-	a.RelayAll()
-	// Own messages are re-sent to the other two members.
-	if got := net.take(); len(got) != 2 {
-		t.Fatalf("RelayAll resent %d, want 2", len(got))
-	}
-}
-
-func TestLazyBufferBounded(t *testing.T) {
-	net := &fakeNet{}
-	r := New(Config{Self: 0, Group: proto.Group(2), Send: net.sender(0), Mode: Lazy, BufferLimit: 4})
-	for i := 0; i < 10; i++ {
-		r.Multicast([]byte{byte(i)})
-	}
-	net.take()
-	r.RelayAll()
-	if got := net.take(); len(got) != 4 {
-		t.Fatalf("buffer kept %d entries, want 4", len(got))
-	}
-}
-
 func TestAgreementViaRelayChain(t *testing.T) {
 	// Origin "crashes" after reaching only p1; eager relay must still get the
 	// message to p2 — the Agreement property.
@@ -169,7 +121,7 @@ func TestAgreementViaRelayChain(t *testing.T) {
 	group := proto.Group(3)
 	endpoints := map[proto.NodeID]*RMcast{}
 	for _, id := range group {
-		endpoints[id] = New(Config{Self: id, Group: group, Send: nets[id].sender(id), Mode: Eager})
+		endpoints[id] = New(Config{Self: id, Group: group, Send: nets[id].sender(id)})
 	}
 	client := New(Config{Self: proto.ClientID(0), Group: group, Send: nets[0].sender(proto.ClientID(0))})
 	// Reuse nets[0] to capture the client sends.

@@ -114,9 +114,9 @@ func (z *zipfChooser) next() uint64 {
 
 // scramble is FNV-1a over the rank's 8 bytes: a cheap, deterministic spread
 // of the hot ranks across the keyspace (and therefore across the ordering
-// groups of a sharded deployment — the residual imbalance the zipfian rows
-// of E11 report is the head key's true weight, not an artifact of hot keys
-// being neighbors).
+// groups of a sharded deployment — the residual imbalance a zipfian run
+// routes to the hottest group is the head key's true weight, not an artifact
+// of hot keys being neighbors).
 func scramble(rank uint64) uint64 {
 	const (
 		fnvOffset64 = 14695981039346656037
@@ -144,9 +144,9 @@ type Generator struct {
 	rng       *rand.Rand
 	keys      chooser
 	readRatio float64
-	value     []byte
+	valueSize int
 	buf       []byte
-	versions  map[uint64]uint64 // per-key write version (NextOp only)
+	versions  map[uint64]uint64 // per-key write version
 }
 
 // NewGenerator builds worker w's command generator for the spec. The
@@ -157,6 +157,13 @@ func NewGenerator(spec Spec, w int) (*Generator, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	return newGenerator(spec, w)
+}
+
+// newGenerator is NewGenerator for a spec that already has its defaults:
+// withDefaults is not idempotent (an explicit all-writes ReadRatio -1 becomes
+// 0, which a second pass would turn into the 0.5 default).
+func newGenerator(spec Spec, w int) (*Generator, error) {
 	rng := rand.New(rand.NewSource(spec.Seed + int64(w)*0x9E3779B9))
 	keys, err := newChooser(spec.Dist, uint64(spec.Keys), spec.Theta, rng) //nolint:gosec // Keys validated positive
 	if err != nil {
@@ -167,32 +174,10 @@ func NewGenerator(spec Spec, w int) (*Generator, error) {
 		rng:       rng,
 		keys:      keys,
 		readRatio: spec.ReadRatio,
-		value:     make([]byte, spec.ValueSize),
+		valueSize: spec.ValueSize,
 		versions:  make(map[uint64]uint64),
 	}
 	return g, nil
-}
-
-// Next returns the next command. The returned slice is reused by the next
-// call; invokers that retain commands must copy (every transport in this
-// repo copies at Send).
-func (g *Generator) Next() []byte {
-	key := g.keys.next()
-	read := g.rng.Float64() < g.readRatio
-	g.buf = g.buf[:0]
-	if read {
-		g.buf = append(g.buf, "get "...)
-		g.buf = appendKey(g.buf, key)
-		return g.buf
-	}
-	for i := range g.value {
-		g.value[i] = valueAlphabet[g.rng.Intn(len(valueAlphabet))]
-	}
-	g.buf = append(g.buf, "set "...)
-	g.buf = appendKey(g.buf, key)
-	g.buf = append(g.buf, ' ')
-	g.buf = append(g.buf, g.value...)
-	return g.buf
 }
 
 // appendKey renders key ids in a fixed width so every key token has the
@@ -216,9 +201,8 @@ type Op struct {
 	Value []byte
 }
 
-// NextOp returns the next operation. Unlike Next, write values carry the
-// worker tag described on Op — the stream is equally deterministic, but not
-// byte-identical to Next's, so a run must use one or the other throughout.
+// NextOp returns the next operation; write values carry the worker tag
+// described on Op.
 func (g *Generator) NextOp() Op {
 	key := g.keys.next()
 	read := g.rng.Float64() < g.readRatio
@@ -234,7 +218,7 @@ func (g *Generator) NextOp() Op {
 	g.buf = append(g.buf, ' ')
 	valStart := len(g.buf)
 	g.buf = fmt.Appendf(g.buf, "w%dv%d", g.w, g.versions[key])
-	for len(g.buf)-valStart < len(g.value) {
+	for len(g.buf)-valStart < g.valueSize {
 		g.buf = append(g.buf, valueAlphabet[g.rng.Intn(len(valueAlphabet))])
 	}
 	return Op{Cmd: g.buf, Key: key, Value: g.buf[valStart:]}

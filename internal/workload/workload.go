@@ -130,11 +130,6 @@ func (s Spec) Mode() string {
 	return "closed"
 }
 
-// Invoke submits one command and blocks until the service's reply is
-// adopted (or fails). Implementations must be safe for concurrent use —
-// every client in this repo is.
-type Invoke func(ctx context.Context, cmd []byte) error
-
 // RWInvoke submits one command on its proper path — read=true marks a
 // read-only command the client may answer through the zero-ordering fast
 // path — and returns the adopted result. Implementations must be safe for
@@ -155,45 +150,24 @@ type Report struct {
 	Throughput float64
 	// Latency summarizes the measured requests' response times. In an
 	// open-loop run each sample is measured from the request's scheduled
-	// arrival time (coordinated-omission corrected). In a RunRW run this
-	// covers writes only; reads land in ReadLatency.
+	// arrival time (coordinated-omission corrected). It covers writes only;
+	// reads land in ReadLatency.
 	Latency metrics.Snapshot
 
-	// MeasuredReads counts the reads inside the measured window (RunRW only;
-	// they are included in Measured too).
+	// MeasuredReads counts the reads inside the measured window (they are
+	// included in Measured too).
 	MeasuredReads uint64
-	// ReadLatency summarizes the measured reads' response times (RunRW only).
+	// ReadLatency summarizes the measured reads' response times.
 	ReadLatency metrics.Snapshot
 	// RYWChecked counts reads whose result the engine could verify against
-	// the issuing worker's own last write of the key (RunRW only) — the
+	// the issuing worker's own last write of the key — the
 	// read-your-writes oracle. Zero on a read-heavy run would mean the check
 	// never engaged; E13 asserts it is positive.
 	RYWChecked uint64
 }
 
-// Run executes the workload against the given client endpoints (worker w
-// uses invokers[w % len]) and records measured-window latencies into hist
-// (pass nil to let Run allocate one). It aborts on the first invocation
-// error. Every command travels the ordered path; use RunRW to exercise the
-// read fast path.
-func Run(ctx context.Context, spec Spec, invokers []Invoke, hist *metrics.Histogram) (Report, error) {
-	if err := checkInvokers(len(invokers)); err != nil {
-		return Report{}, err
-	}
-	rw := make([]RWInvoke, len(invokers))
-	for i, inv := range invokers {
-		if inv == nil {
-			return Report{}, fmt.Errorf("workload: invoker %d is nil", i)
-		}
-		inv := inv
-		rw[i] = func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) {
-			return nil, inv(ctx, cmd)
-		}
-	}
-	return run(ctx, spec, rw, hist, nil, false)
-}
-
-// RunRW executes the workload with the read/write split surfaced: reads are
+// RunRW executes the workload against the given client endpoints (worker w
+// uses invokers[w % len]) with the read/write split surfaced: reads are
 // routed with read=true (clients with a fast path serve them without any
 // ordering messages), read and write latencies are recorded into separate
 // histograms (either may be nil), and each worker checks read-your-writes —
@@ -201,32 +175,17 @@ func Run(ctx context.Context, spec Spec, invokers []Invoke, hist *metrics.Histog
 // of its own than the last one it adopted a write reply for (write values
 // are worker-tagged, see Op.Value, so foreign and stale-own results are
 // distinguishable). The check is a hard oracle: a violation aborts the run
-// with an error, deterministically for a given spec and seed.
+// with an error, deterministically for a given spec and seed. The first
+// invocation error aborts the run.
 func RunRW(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *metrics.Histogram) (Report, error) {
-	if err := checkInvokers(len(invokers)); err != nil {
-		return Report{}, err
+	if len(invokers) == 0 {
+		return Report{}, fmt.Errorf("workload: no invokers")
 	}
 	for i, inv := range invokers {
 		if inv == nil {
 			return Report{}, fmt.Errorf("workload: invoker %d is nil", i)
 		}
 	}
-	return run(ctx, spec, invokers, hist, readHist, true)
-}
-
-func checkInvokers(n int) error {
-	if n == 0 {
-		return fmt.Errorf("workload: no invokers")
-	}
-	return nil
-}
-
-// run is the engine shared by Run and RunRW. split selects the read/write-
-// aware mode: NextOp streams (worker-tagged values), fast-path routing,
-// per-path histograms and the read-your-writes oracle. The legacy mode keeps
-// byte-identical Next streams so measurements stay comparable across
-// revisions.
-func run(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *metrics.Histogram, split bool) (Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return Report{}, err
@@ -262,7 +221,7 @@ func run(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *me
 
 	errCh := make(chan error, spec.Workers)
 	for w := 0; w < spec.Workers; w++ {
-		gen, err := NewGenerator(spec, w)
+		gen, err := newGenerator(spec, w)
 		if err != nil {
 			return Report{}, err
 		}
@@ -270,26 +229,15 @@ func run(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *me
 		go func(w int, gen *Generator) {
 			defer wg.Done()
 			invoke := invokers[w%len(invokers)]
-			var (
-				ownPrefix []byte
-				lastWrite map[uint64][]byte // this worker's last adopted write per key
-			)
-			if split {
-				ownPrefix = OwnValuePrefix(w)
-				lastWrite = make(map[uint64][]byte)
-			}
+			ownPrefix := OwnValuePrefix(w)
+			lastWrite := make(map[uint64][]byte) // this worker's last adopted write per key
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(total) {
 					errCh <- nil
 					return
 				}
-				var op Op
-				if split {
-					op = gen.NextOp()
-				} else {
-					op = Op{Cmd: gen.Next()}
-				}
+				op := gen.NextOp()
 				start := time.Now()
 				if interval > 0 {
 					// Open loop: this request was due at base + i·interval.
@@ -311,7 +259,7 @@ func run(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *me
 					measStart.Store(time.Now().UnixNano())
 				}
 				result, err := invoke(ctx, op.Cmd, op.Read)
-				if err == nil && split {
+				if err == nil {
 					if op.Read {
 						err = checkReadYourWrites(w, op.Key, result, lastWrite, ownPrefix, &rywChecked)
 					} else {
@@ -325,7 +273,7 @@ func run(ctx context.Context, spec Spec, invokers []RWInvoke, hist, readHist *me
 				}
 				executed.Add(1)
 				if i >= int64(spec.Warmup) {
-					if split && op.Read {
+					if op.Read {
 						readHist.Record(time.Since(start))
 						measReads.Add(1)
 					} else {

@@ -14,7 +14,8 @@ import (
 )
 
 // TestGeneratorDeterministic: the same (spec, worker) must emit the same
-// command stream, and distinct workers must not.
+// command stream, and distinct workers must not draw the same key and
+// read/write sequence.
 func TestGeneratorDeterministic(t *testing.T) {
 	for _, dist := range Dists() {
 		spec := Spec{Dist: dist, Seed: 42, Keys: 64}
@@ -32,11 +33,11 @@ func TestGeneratorDeterministic(t *testing.T) {
 		}
 		diverged := false
 		for i := 0; i < 500; i++ {
-			ca, cb := a.Next(), b.Next()
-			if !bytes.Equal(ca, cb) {
-				t.Fatalf("%s: command %d diverges: %q vs %q", dist, i, ca, cb)
+			oa, ob, oo := a.NextOp(), b.NextOp(), other.NextOp()
+			if !bytes.Equal(oa.Cmd, ob.Cmd) {
+				t.Fatalf("%s: command %d diverges: %q vs %q", dist, i, oa.Cmd, ob.Cmd)
 			}
-			if !bytes.Equal(ca, other.Next()) {
+			if oa.Key != oo.Key || oa.Read != oo.Read {
 				diverged = true
 			}
 		}
@@ -55,7 +56,7 @@ func TestGeneratorCommandShape(t *testing.T) {
 	}
 	reads, writes := 0, 0
 	for i := 0; i < 2000; i++ {
-		cmd := string(gen.Next())
+		cmd := string(gen.NextOp().Cmd)
 		fields := strings.Fields(cmd)
 		switch fields[0] {
 		case "get":
@@ -92,11 +93,11 @@ func TestGeneratorReadRatioExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if cmd := allReads.Next(); !bytes.HasPrefix(cmd, []byte("get ")) {
-			t.Fatalf("ReadRatio=1 emitted %q", cmd)
+		if op := allReads.NextOp(); !op.Read || !bytes.HasPrefix(op.Cmd, []byte("get ")) {
+			t.Fatalf("ReadRatio=1 emitted %q", op.Cmd)
 		}
-		if cmd := allWrites.Next(); !bytes.HasPrefix(cmd, []byte("set ")) {
-			t.Fatalf("ReadRatio=-1 emitted %q", cmd)
+		if op := allWrites.NextOp(); op.Read || !bytes.HasPrefix(op.Cmd, []byte("set ")) {
+			t.Fatalf("ReadRatio=-1 emitted %q", op.Cmd)
 		}
 	}
 }
@@ -140,28 +141,30 @@ func TestZipfianSkew(t *testing.T) {
 }
 
 // fakeInvoker counts invocations and optionally sleeps, standing in for a
-// replicated service.
-func fakeInvoker(delay time.Duration, count *atomic.Int64) Invoke {
-	return func(ctx context.Context, cmd []byte) error {
+// replicated service. It keeps no state, so the specs that drive it are
+// all-writes (ReadRatio -1): the read-your-writes oracle then has no read to
+// judge against a store that does not exist.
+func fakeInvoker(delay time.Duration, count *atomic.Int64) RWInvoke {
+	return func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) {
 		if len(cmd) == 0 {
-			return errors.New("empty command")
+			return nil, errors.New("empty command")
 		}
 		if delay > 0 {
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 		count.Add(1)
-		return nil
+		return []byte("ok"), nil
 	}
 }
 
 func TestRunClosedLoop(t *testing.T) {
 	var calls atomic.Int64
-	spec := Spec{Workers: 4, Requests: 200, Warmup: 40, Keys: 32, Seed: 9}
-	rep, err := Run(context.Background(), spec, []Invoke{fakeInvoker(0, &calls)}, nil)
+	spec := Spec{Workers: 4, Requests: 200, Warmup: 40, ReadRatio: -1, Keys: 32, Seed: 9}
+	rep, err := RunRW(context.Background(), spec, []RWInvoke{fakeInvoker(0, &calls)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +186,9 @@ func TestRunOpenLoopPacing(t *testing.T) {
 	var calls atomic.Int64
 	// 100 measured requests at 2000/s ≈ a 50ms measured window; the engine
 	// must not finish meaningfully faster than the schedule allows.
-	spec := Spec{Workers: 8, Rate: 2000, Requests: 100, Warmup: 20, Keys: 32, Seed: 3}
+	spec := Spec{Workers: 8, Rate: 2000, Requests: 100, Warmup: 20, ReadRatio: -1, Keys: 32, Seed: 3}
 	t0 := time.Now()
-	rep, err := Run(context.Background(), spec, []Invoke{fakeInvoker(0, &calls)}, nil)
+	rep, err := RunRW(context.Background(), spec, []RWInvoke{fakeInvoker(0, &calls)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +220,8 @@ func TestRunOpenLoopCoordinatedOmission(t *testing.T) {
 	// One worker, arrivals every 1ms, service time 5ms: the queue falls
 	// behind immediately and scheduled-time latency must grow well past the
 	// 5ms service time.
-	spec := Spec{Workers: 1, Rate: 1000, Requests: 40, Warmup: -1, Keys: 8, Seed: 11}
-	rep, err := Run(context.Background(), spec, []Invoke{slow}, nil)
+	spec := Spec{Workers: 1, Rate: 1000, Requests: 40, Warmup: -1, ReadRatio: -1, Keys: 8, Seed: 11}
+	rep, err := RunRW(context.Background(), spec, []RWInvoke{slow}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +237,9 @@ func TestRunSpreadsWorkersOverInvokers(t *testing.T) {
 	var a, b atomic.Int64
 	// The 200µs service time keeps any single worker from draining the whole
 	// claim counter before the others are scheduled.
-	invokers := []Invoke{fakeInvoker(200*time.Microsecond, &a), fakeInvoker(200*time.Microsecond, &b)}
-	spec := Spec{Workers: 4, Requests: 200, Warmup: -1, Keys: 8, Seed: 2}
-	if _, err := Run(context.Background(), spec, invokers, nil); err != nil {
+	invokers := []RWInvoke{fakeInvoker(200*time.Microsecond, &a), fakeInvoker(200*time.Microsecond, &b)}
+	spec := Spec{Workers: 4, Requests: 200, Warmup: -1, ReadRatio: -1, Keys: 8, Seed: 2}
+	if _, err := RunRW(context.Background(), spec, invokers, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Load() == 0 || b.Load() == 0 {
@@ -250,13 +253,14 @@ func TestRunSpreadsWorkersOverInvokers(t *testing.T) {
 func TestRunAbortsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var n atomic.Int64
-	failing := func(ctx context.Context, cmd []byte) error {
+	failing := func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) {
 		if n.Add(1) > 10 {
-			return boom
+			return nil, boom
 		}
-		return nil
+		return []byte("ok"), nil
 	}
-	_, err := Run(context.Background(), Spec{Workers: 2, Requests: 100, Keys: 8}, []Invoke{failing}, nil)
+	spec := Spec{Workers: 2, Requests: 100, ReadRatio: -1, Keys: 8}
+	_, err := RunRW(context.Background(), spec, []RWInvoke{failing}, nil, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the invoker's error", err)
 	}
@@ -269,19 +273,20 @@ func TestRunAbortsOnError(t *testing.T) {
 func TestRunAbortReleasesWorkers(t *testing.T) {
 	boom := errors.New("boom")
 	var n atomic.Int64
-	invoker := func(ctx context.Context, cmd []byte) error {
+	invoker := func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) {
 		if n.Add(1) == 1 {
-			return boom // worker 0 fails immediately
+			return nil, boom // worker 0 fails immediately
 		}
 		select { // everyone else blocks until cancellation
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-time.After(30 * time.Second):
-			return nil
+			return []byte("ok"), nil
 		}
 	}
 	start := time.Now()
-	_, err := Run(context.Background(), Spec{Workers: 4, Requests: 1000, Keys: 8}, []Invoke{invoker}, nil)
+	spec := Spec{Workers: 4, Requests: 1000, ReadRatio: -1, Keys: 8}
+	_, err := RunRW(context.Background(), spec, []RWInvoke{invoker}, nil, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the root cause", err)
 	}
@@ -292,7 +297,7 @@ func TestRunAbortReleasesWorkers(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()
-	ok := func(ctx context.Context, cmd []byte) error { return nil }
+	ok := func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) { return []byte("ok"), nil }
 	cases := []Spec{
 		{Rate: -1},
 		{ReadRatio: 1.5},
@@ -300,14 +305,14 @@ func TestRunValidation(t *testing.T) {
 		{Keys: -1},
 	}
 	for _, spec := range cases {
-		if _, err := Run(ctx, spec, []Invoke{ok}, nil); err == nil {
+		if _, err := RunRW(ctx, spec, []RWInvoke{ok}, nil, nil); err == nil {
 			t.Errorf("spec %+v accepted", spec)
 		}
 	}
-	if _, err := Run(ctx, Spec{}, nil, nil); err == nil {
+	if _, err := RunRW(ctx, Spec{}, nil, nil, nil); err == nil {
 		t.Error("no invokers accepted")
 	}
-	if _, err := Run(ctx, Spec{}, []Invoke{nil}, nil); err == nil {
+	if _, err := RunRW(ctx, Spec{}, []RWInvoke{nil}, nil, nil); err == nil {
 		t.Error("nil invoker accepted")
 	}
 }
@@ -315,20 +320,20 @@ func TestRunValidation(t *testing.T) {
 // TestRunReproducible: two runs with one worker and the same seed must drive
 // the identical command sequence (observed through a recording invoker).
 func TestRunReproducible(t *testing.T) {
-	record := func() (Invoke, *[]string) {
+	record := func() (RWInvoke, *[]string) {
 		var cmds []string
-		return func(ctx context.Context, cmd []byte) error {
+		return func(ctx context.Context, cmd []byte, _ bool) ([]byte, error) {
 			cmds = append(cmds, string(cmd))
-			return nil
+			return []byte("ok"), nil
 		}, &cmds
 	}
-	spec := Spec{Workers: 1, Requests: 50, Warmup: -1, Dist: Zipfian, Keys: 32, Seed: 77}
+	spec := Spec{Workers: 1, Requests: 50, Warmup: -1, ReadRatio: -1, Dist: Zipfian, Keys: 32, Seed: 77}
 	invA, cmdsA := record()
 	invB, cmdsB := record()
-	if _, err := Run(context.Background(), spec, []Invoke{invA}, nil); err != nil {
+	if _, err := RunRW(context.Background(), spec, []RWInvoke{invA}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), spec, []Invoke{invB}, nil); err != nil {
+	if _, err := RunRW(context.Background(), spec, []RWInvoke{invB}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(*cmdsA) != fmt.Sprint(*cmdsB) {

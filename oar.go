@@ -469,8 +469,11 @@ func ListenAndServe(ctx context.Context, opts ServerOptions) error {
 // directory (the BOOT file). The first boot of a fresh directory is
 // incarnation 0 — a normal cold start; every later boot is a restart, which
 // makes the server recover (local replay, then peer catch-up) before it
-// re-enters ordering. The write is atomic (tmp + rename), so a crash during
-// boot cannot leave a torn counter.
+// re-enters ordering. The write is atomic and durable (tmp + fsync + rename +
+// directory fsync, as wal.SaveSnapshot does), so neither a crash nor a power
+// loss during boot can leave a torn counter or undo the bump: a repeated
+// incarnation would reuse the previous boot's reliable-multicast sequence
+// range, which peers deduplicate for ever.
 func nextIncarnation(dir string) (uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -490,10 +493,32 @@ func nextIncarnation(dir string) (uint64, error) {
 		return 0, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(inc, 10)+"\n"), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.WriteString(strconv.FormatUint(inc, 10) + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return 0, err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
 	return inc, nil
